@@ -2,8 +2,8 @@
 conference matrices, inverse orthogonal matrices and complex Hadamard
 matrices."""
 
-from .symbolic import Entry, Gaussian, LaurentPoly, Monomial, ONE, parse_entry
-from .cyclotomic import CycValue, cyclotomic_polynomial
+from .symbolic import Entry, Monomial, ONE, parse_entry
+from .cyclotomic import cyclotomic_polynomial
 from .matrices import (
     AffinePhase,
     ButsonMatrix,
@@ -14,14 +14,11 @@ from .matrices import (
     circulant,
     conference_inverse,
     dephase,
-    double_hadamard,
     double_orthogonal,
     eval_complex,
     eval_exact,
     eval_exponent_form,
-    reciprocal_transpose,
     scale_columns,
-    scale_rows,
     substitute,
     to_butson,
     transpose,

@@ -26,7 +26,6 @@ from .matrices import (
     SymbolicMatrix,
     bordered_circulant,
     dephase,
-    double_hadamard,
     double_orthogonal,
     eval_exponent_form,
     parse_phase_cell,
@@ -279,8 +278,6 @@ def _eval_recipe(expr: str) -> SymbolicMatrix:
         return dephase(_eval_recipe(args[0]))
     if op == "double_orthogonal":
         return double_orthogonal(_eval_recipe(args[0]))
-    if op == "double_hadamard":
-        return double_hadamard(_eval_recipe(args[0]))
     if op == "bordered_circulant":
         return bordered_circulant([parse_entry(a) for a in args])
     if op == "scale_columns":

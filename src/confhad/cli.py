@@ -35,7 +35,6 @@ from .matrices import (
 from .verify import DEFAULT_TOL, check_conference, check_hadamard, check_inverse_orthogonal
 
 USAGE_ERROR = 64
-DEFAULT_SEED = 20240809
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
+
+
+def _node_budget(text: str) -> int:
+    """argparse type of --budget: a positive search node count."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return budget
 
 
 def _load_target(target: str, verified: bool) -> AnyMatrix:
@@ -275,17 +285,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p = sub.add_parser("verify", help="run the defining identity check")
     p.add_argument("target")
-    p.add_argument("--symbolic", action="store_true", help="(default for SYM input)")
     p.add_argument("--numeric", action="store_true", help="evaluate at unit phases first")
     p.add_argument("--verified", action="store_true", help="apply certified overrides")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--phases")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=catalog.DEFAULT_SEED)
 
     p = sub.add_parser("equiv", help="decide monomial equivalence")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_node_budget, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("fingerprint", help="print the quadruple-product multiset")
     p.add_argument("target")
@@ -299,11 +308,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser("reconcile", help="printed-vs-derived reports")
     p.add_argument("name", nargs="?")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=catalog.DEFAULT_SEED)
 
     p = sub.add_parser("specialize", help="classify sign specializations")
     p.add_argument("name")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_node_budget, default=DEFAULT_BUDGET)
 
     args = parser.parse_args(argv)
 

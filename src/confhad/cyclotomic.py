@@ -1,27 +1,16 @@
-"""Exact arithmetic in cyclotomic integer rings Z[zeta_m].
+"""Exact zero tests for sums of roots of unity.
 
-Values are integer coordinate vectors in the power basis 1, z, ..., z^(phi-1)
-reduced modulo the m-th cyclotomic polynomial, so equality of vectors is
-equality of values and a sum of roots of unity is zero exactly when its
-reduced vector vanishes.  This is what makes conference/Hadamard checks exact
-rather than floating-point.
+A sum sum_k counts[k] * zeta_m^k is reduced to integer coordinates in the
+power basis 1, z, ..., z^(phi-1) modulo the m-th cyclotomic polynomial; the
+sum is zero exactly when its reduced vector vanishes.  This is what makes
+conference/Hadamard checks exact rather than floating-point.
 """
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
-from math import gcd, lcm, tau
+from math import gcd
 from typing import Iterable, Sequence
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _poly_divexact(num: Sequence[int], den: Sequence[int]) -> list[int]:
@@ -55,8 +44,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _tables(m: int):
-    """Reduction data for Z[zeta_m]: power rows, conjugation rows, root logs."""
+def _tables(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """phi(m) and the reduced power-basis coordinates of zeta_m^k, k < m."""
     phi_poly = cyclotomic_polynomial(m)
     phi = len(phi_poly) - 1
     # x^phi == -(phi_poly without its leading 1)
@@ -64,8 +53,7 @@ def _tables(m: int):
     rows: list[tuple[int, ...]] = []
     cur = [0] * phi
     cur[0] = 1
-    limit = max(m, 2 * phi - 1)
-    for _ in range(limit):
+    for _ in range(m):
         rows.append(tuple(cur))
         lead = cur[phi - 1]
         nxt = [0] * phi
@@ -75,147 +63,12 @@ def _tables(m: int):
             for j in range(phi):
                 nxt[j] += lead * top[j]
         cur = nxt
-    conj_rows = tuple(rows[(m - j) % m] for j in range(phi))
-    root_log = {rows[k]: k for k in range(m)}
-    return phi, tuple(rows), conj_rows, root_log
-
-
-def euler_phi(m: int) -> int:
-    return _tables(m)[0]
-
-
-class CycValue:
-    """An element of Z[zeta_m] in canonical reduced coordinates."""
-
-    __slots__ = ("m", "coeffs")
-
-    def __init__(self, m: int, coeffs: Iterable[int]) -> None:
-        phi = _tables(m)[0]
-        cs = tuple(coeffs)
-        if len(cs) != phi:
-            raise ValueError(f"expected {phi} coordinates for order {m}, got {len(cs)}")
-        self.m = m
-        self.coeffs = cs
-
-    @classmethod
-    def zero(cls, m: int) -> "CycValue":
-        return cls(m, (0,) * _tables(m)[0])
-
-    @classmethod
-    def one(cls, m: int) -> "CycValue":
-        return cls.root(m, 0)
-
-    @classmethod
-    def root(cls, m: int, k: int) -> "CycValue":
-        """zeta_m^k."""
-        _, rows, _, _ = _tables(m)
-        return cls(m, rows[k % m])
-
-    @classmethod
-    def from_int(cls, m: int, value: int) -> "CycValue":
-        phi = _tables(m)[0]
-        return cls(m, (value,) + (0,) * (phi - 1))
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def _require_same_order(self, other: "CycValue") -> None:
-        if self.m != other.m:
-            raise ValueError(f"order mismatch: {self.m} vs {other.m}")
-
-    def __add__(self, other: "CycValue") -> "CycValue":
-        self._require_same_order(other)
-        return CycValue(self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CycValue") -> "CycValue":
-        self._require_same_order(other)
-        return CycValue(self.m, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CycValue":
-        return CycValue(self.m, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: "CycValue") -> "CycValue":
-        self._require_same_order(other)
-        phi, rows, _, _ = _tables(self.m)
-        acc = [0] * phi
-        for i, x in enumerate(self.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(other.coeffs):
-                if not y:
-                    continue
-                row = rows[i + j]
-                xy = x * y
-                for t in range(phi):
-                    acc[t] += xy * row[t]
-        return CycValue(self.m, acc)
-
-    def conj(self) -> "CycValue":
-        """Complex conjugation, zeta^k -> zeta^(-k)."""
-        phi, _, conj_rows, _ = _tables(self.m)
-        acc = [0] * phi
-        for j, x in enumerate(self.coeffs):
-            if not x:
-                continue
-            row = conj_rows[j]
-            for t in range(phi):
-                acc[t] += x * row[t]
-        return CycValue(self.m, acc)
-
-    def lift(self, big: int) -> "CycValue":
-        """Reinterpret in Z[zeta_big] for m | big."""
-        if big == self.m:
-            return self
-        if big % self.m:
-            raise ValueError(f"{big} is not a multiple of {self.m}")
-        step = big // self.m
-        phi, rows, _, _ = _tables(big)
-        acc = [0] * phi
-        for j, x in enumerate(self.coeffs):
-            if not x:
-                continue
-            row = rows[(j * step) % big]
-            for t in range(phi):
-                acc[t] += x * row[t]
-        return CycValue(big, acc)
-
-    def root_log(self) -> int | None:
-        """k such that self == zeta_m^k, or None if self is not a root."""
-        return _tables(self.m)[3].get(self.coeffs)
-
-    def to_complex(self) -> complex:
-        z = cmath.exp(1j * tau / self.m)
-        return sum(c * z**j for j, c in enumerate(self.coeffs) if c)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CycValue)
-            and self.m == other.m
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.coeffs))
-
-    def __repr__(self) -> str:
-        k = self.root_log()
-        if k is not None:
-            return f"CycValue(zeta{self.m}^{k})"
-        return f"CycValue(m={self.m}, {list(self.coeffs)})"
-
-
-def common_order(*values: CycValue) -> tuple[CycValue, ...]:
-    """Lift values into the smallest shared ring."""
-    big = 1
-    for v in values:
-        big = lcm(big, v.m)
-    return tuple(v.lift(big) for v in values)
+    return phi, tuple(rows)
 
 
 def root_sum_is_zero(counts: Sequence[int], m: int) -> bool:
     """Exact test for sum_k counts[k] * zeta_m^k == 0."""
-    phi, rows, _, _ = _tables(m)
+    phi, rows = _tables(m)
     acc = [0] * phi
     for k, c in enumerate(counts):
         if not c:

@@ -301,6 +301,15 @@ def _search_conference(A: ButsonMatrix, B: ButsonMatrix, budget: _Budget) -> Opt
     p = [None] * n  # p[i] = rd[i] + e[0]
     state = {"e0": None}
 
+    def undo_all(undo: list) -> None:
+        for kind, idx in reversed(undo):
+            if kind == "e":
+                e[idx] = None
+            elif kind == "p":
+                p[idx] = None
+            else:
+                state["e0"] = None
+
     def equations(t: int) -> Optional[list]:
         """Derive/check all cells touching index t; return undo list or None."""
         undo: list = []
@@ -326,21 +335,12 @@ def _search_conference(A: ButsonMatrix, B: ButsonMatrix, budget: _Budget) -> Opt
                 return True
             return state["e0"] == val
 
-        def fail() -> None:
-            for kind, idx in reversed(undo):
-                if kind == "e":
-                    e[idx] = None
-                elif kind == "p":
-                    p[idx] = None
-                else:
-                    state["e0"] = None
-
         if t > 0:
             if not set_e(t, (lb[0][t] - la[sigma[0]][sigma[t]]) % m):
-                fail()
+                undo_all(undo)
                 return None
             if not set_p(t, (lb[t][0] - la[sigma[t]][sigma[0]]) % m):
-                fail()
+                undo_all(undo)
                 return None
         for s in range(1, t):
             for i, j in ((s, t), (t, s)):
@@ -349,18 +349,9 @@ def _search_conference(A: ButsonMatrix, B: ButsonMatrix, budget: _Budget) -> Opt
                 delta = (lb[i][j] - la[sigma[i]][sigma[j]]) % m
                 want_e0 = (p[i] + e[j] - delta) % m
                 if not set_e0(want_e0):
-                    fail()
+                    undo_all(undo)
                     return None
         return undo
-
-    def undo_all(undo: list) -> None:
-        for kind, idx in reversed(undo):
-            if kind == "e":
-                e[idx] = None
-            elif kind == "p":
-                p[idx] = None
-            else:
-                state["e0"] = None
 
     def extend(t: int) -> bool:
         if t == n:

@@ -5,9 +5,9 @@ monomials or zero), :class:`ExponentMatrix` (cells are affine phase
 expressions, with a distinguished bullet cell for "phase zero as printed"),
 and exact/float numeric matrices (:class:`ButsonMatrix`, :class:`ComplexMatrix`).
 
-Constructions: circulant and bordered-circulant builders, the reciprocal
-transpose, the conference inverse, the two size-doubling block formulas,
-row/column scaling, dephasing and exponent-form evaluation.
+Constructions: circulant and bordered-circulant builders, the conference
+inverse, the size-doubling block formula, column scaling, substitution,
+dephasing and exact/float/exponent-form evaluation.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .cyclotomic import CycValue, minimal_root_order
+from .cyclotomic import minimal_root_order
 from .symbolic import Entry, Monomial, ONE, entry_str, parse_entry
 
 
@@ -248,10 +248,6 @@ class ButsonMatrix:
     def __hash__(self) -> int:
         return hash((self.m, self.logs))
 
-    def value(self, i: int, j: int) -> CycValue:
-        k = self.logs[i][j]
-        return CycValue.zero(self.m) if k is None else CycValue.root(self.m, k)
-
     def has_zero(self) -> bool:
         return any(c is None for row in self.logs for c in row)
 
@@ -370,21 +366,6 @@ def transpose(matrix: SymbolicMatrix) -> SymbolicMatrix:
     )
 
 
-def reciprocal_transpose(matrix: SymbolicMatrix) -> SymbolicMatrix:
-    """Entrywise reciprocal of the transpose: the inverse convention
-    A^{-1}[i][j] = 1/A[j][i] that the doubling constructions rely on."""
-    out: list[list[Entry]] = []
-    for i in range(matrix.n):
-        row: list[Entry] = []
-        for j in range(matrix.n):
-            cell = matrix.rows[j][i]
-            if cell is None:
-                raise ValueError(f"zero cell at ({j},{i}) has no reciprocal")
-            row.append(cell.reciprocal())
-        out.append(row)
-    return SymbolicMatrix(out)
-
-
 def conference_inverse(matrix: SymbolicMatrix) -> SymbolicMatrix:
     """Reciprocal transpose off the diagonal, zero diagonal.
 
@@ -408,8 +389,14 @@ def conference_inverse(matrix: SymbolicMatrix) -> SymbolicMatrix:
     return SymbolicMatrix(out)
 
 
-def _doubled_blocks(C: SymbolicMatrix, Cinv: SymbolicMatrix, label: str | None) -> SymbolicMatrix:
-    """[[C+I, Cinv-I], [C-I, -Cinv-I]] for zero-diagonal C and Cinv."""
+def double_orthogonal(C: SymbolicMatrix, label: str | None = None) -> SymbolicMatrix:
+    """[[C+I, Cinv-I], [C-I, -Cinv-I]] for a conference-shaped C.
+
+    Cinv is the conference inverse, so free parameters are allowed; for a
+    constant unimodular C it equals the Hermitian conjugate, and the result
+    is the Hadamard doubling.
+    """
+    Cinv = conference_inverse(C)
     n = C.n
     rows: list[list[Entry]] = []
     for i in range(n):
@@ -430,27 +417,6 @@ def _doubled_blocks(C: SymbolicMatrix, Cinv: SymbolicMatrix, label: str | None) 
     return SymbolicMatrix(rows, label)
 
 
-def double_orthogonal(C: SymbolicMatrix, label: str | None = None) -> SymbolicMatrix:
-    """Size-doubling block construction from a conference-shaped matrix.
-
-    The off-diagonal blocks use the conference inverse, so free parameters
-    are allowed.
-    """
-    return _doubled_blocks(C, conference_inverse(C), label)
-
-
-def double_hadamard(C: SymbolicMatrix, label: str | None = None) -> SymbolicMatrix:
-    """Size-doubling for constant unimodular conference matrices.
-
-    For constant cells the Hermitian conjugate equals the conference inverse,
-    so this coincides with :func:`double_orthogonal`; free symbols are
-    rejected to keep the conjugate entrywise-computable.
-    """
-    if not C.is_constant:
-        raise ValueError("free symbols present; use double_orthogonal")
-    return _doubled_blocks(C, conference_inverse(C), label)
-
-
 def scale_columns(matrix: SymbolicMatrix, diag: Sequence[Entry]) -> SymbolicMatrix:
     if len(diag) != matrix.n:
         raise ValueError("diagonal length mismatch")
@@ -460,20 +426,6 @@ def scale_columns(matrix: SymbolicMatrix, diag: Sequence[Entry]) -> SymbolicMatr
         [
             [None if cell is None else cell * diag[j] for j, cell in enumerate(row)]
             for row in matrix.rows
-        ],
-        matrix.label,
-    )
-
-
-def scale_rows(matrix: SymbolicMatrix, diag: Sequence[Entry]) -> SymbolicMatrix:
-    if len(diag) != matrix.n:
-        raise ValueError("diagonal length mismatch")
-    if any(d is None for d in diag):
-        raise ValueError("zero scale factor")
-    return SymbolicMatrix(
-        [
-            [None if cell is None else diag[i] * cell for cell in row]
-            for i, row in enumerate(matrix.rows)
         ],
         matrix.label,
     )

@@ -2,80 +2,22 @@
 
 A cell value is either zero (represented by ``None``) or a :class:`Monomial`:
 a unit coefficient i^k (k mod 4) times a Laurent product of formal parameters,
-e.g. ``-i*c*a^-1``.  Sums of monomials arising in verification are collected
-into :class:`LaurentPoly`, a sparse polynomial over the Gaussian integers.
+e.g. ``-i*c*a^-1``.  Cells parse from and print to the text cell grammar and
+evaluate exactly (as root-of-unity logs) or in floating point.
 
 All values are immutable; operations return new objects.
 """
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 
 def is_symbol(name: str) -> bool:
     """Parameter symbols are single lowercase ASCII letters other than 'i'."""
     return len(name) == 1 and name.isascii() and name.islower() and name != "i"
 
-
-@dataclass(frozen=True, slots=True)
-class Gaussian:
-    """Exact Gaussian integer re + im*i."""
-
-    re: int = 0
-    im: int = 0
-
-    def __add__(self, other: "Gaussian") -> "Gaussian":
-        return Gaussian(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "Gaussian") -> "Gaussian":
-        return Gaussian(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "Gaussian":
-        return Gaussian(-self.re, -self.im)
-
-    def __mul__(self, other: "Gaussian") -> "Gaussian":
-        return Gaussian(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conj(self) -> "Gaussian":
-        return Gaussian(self.re, -self.im)
-
-    def rotated(self, ipow: int) -> "Gaussian":
-        """Multiply by i^ipow."""
-        k = ipow % 4
-        if k == 0:
-            return self
-        if k == 1:
-            return Gaussian(-self.im, self.re)
-        if k == 2:
-            return Gaussian(-self.re, -self.im)
-        return Gaussian(self.im, -self.re)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return {1: "i", -1: "-i"}.get(self.im, f"{self.im}i")
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        imtxt = "i" if mag == 1 else f"{mag}i"
-        return f"({self.re}{sign}{imtxt})"
-
-
-GAUSSIAN_UNITS = (Gaussian(1, 0), Gaussian(0, 1), Gaussian(-1, 0), Gaussian(0, -1))
 
 # exponent vector: sorted tuple of (symbol, nonzero exponent)
 ExpKey = tuple[tuple[str, int], ...]
@@ -166,31 +108,6 @@ class Monomial:
             k += e * (big // order) * assignment[sym]
         return k % big, big
 
-    def eval_cyc(self, assignment: Mapping[str, "CycValue"]) -> "CycValue":
-        """Exact evaluation at root-of-unity ring values.
-
-        Every assigned value must be a pure root (reciprocals of non-units do
-        not live in the ring); the result order is the common order, stretched
-        for the i^ipow coefficient when needed.
-        """
-        from .cyclotomic import CycValue
-
-        order = 1
-        for v in assignment.values():
-            order = lcm(order, v.m)
-        logs = {}
-        for sym, _ in self.exps:
-            value = assignment.get(sym)
-            if value is None:
-                raise KeyError(f"unassigned symbol {sym!r}")
-            lifted = value.lift(order)
-            k = lifted.root_log()
-            if k is None:
-                raise ValueError(f"symbol {sym!r} assigned a non-unit value")
-            logs[sym] = k
-        k, big = self.eval_root_log(logs, order)
-        return CycValue.root(big, k)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Monomial)
@@ -213,8 +130,6 @@ class Monomial:
 
 
 ONE = Monomial.one()
-I_UNIT = Monomial.unit(1)
-MINUS_ONE = Monomial.unit(2)
 
 # A matrix cell: zero (None) or a unit monomial.
 Entry = Optional[Monomial]
@@ -263,118 +178,3 @@ def parse_entry(text: str) -> Entry:
 
 def entry_str(entry: Entry) -> str:
     return "0" if entry is None else str(entry)
-
-
-class LaurentPoly:
-    """Sparse Laurent polynomial over the Gaussian integers.
-
-    Terms map exponent vectors to nonzero coefficients; the canonical form
-    never stores a zero coefficient, so ``is_zero`` is just emptiness and
-    equality is map equality.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[ExpKey, Gaussian] | None = None) -> None:
-        self._terms: dict[ExpKey, Gaussian] = {
-            k: v for k, v in (terms or {}).items() if not v.is_zero
-        }
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, value: Union[int, Gaussian]) -> "LaurentPoly":
-        g = Gaussian(value, 0) if isinstance(value, int) else value
-        return cls({(): g})
-
-    @classmethod
-    def from_monomial(cls, mono: Monomial) -> "LaurentPoly":
-        return cls({mono.exps: GAUSSIAN_UNITS[mono.ipow]})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coefficient(self, key: ExpKey) -> Gaussian:
-        return self._terms.get(key, Gaussian())
-
-    def items(self) -> list[tuple[ExpKey, Gaussian]]:
-        return sorted(self._terms.items())
-
-    def add_monomial(self, mono: Monomial) -> "LaurentPoly":
-        terms = dict(self._terms)
-        acc = terms.get(mono.exps, Gaussian()) + GAUSSIAN_UNITS[mono.ipow]
-        if acc.is_zero:
-            terms.pop(mono.exps, None)
-        else:
-            terms[mono.exps] = acc
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        return out
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        terms = dict(self._terms)
-        for key, g in other._terms.items():
-            acc = terms.get(key, Gaussian()) + g
-            if acc.is_zero:
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        return out
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -v for k, v in self._terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        terms: dict[ExpKey, Gaussian] = {}
-        for k1, g1 in self._terms.items():
-            for k2, g2 in other._terms.items():
-                key = _merge_keys(k1, k2)
-                acc = terms.get(key, Gaussian()) + g1 * g2
-                if acc.is_zero:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = acc
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentPoly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.items()))
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for key, g in self.items():
-            mono = "*".join(s if e == 1 else f"{s}^{e}" for s, e in key)
-            parts.append(str(g) if not mono else f"{g}*{mono}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self})"
-
-
-def _merge_keys(k1: ExpKey, k2: ExpKey) -> ExpKey:
-    merged: dict[str, int] = dict(k1)
-    for sym, e in k2:
-        acc = merged.get(sym, 0) + e
-        if acc:
-            merged[sym] = acc
-        else:
-            del merged[sym]
-    return tuple(sorted(merged.items()))
-
-
-def unit_circle_value(phase: float) -> complex:
-    return cmath.exp(1j * phase)

@@ -1,10 +1,12 @@
 """Exact and numeric verification predicates.
 
-The symbolic checks accumulate inner products as Laurent polynomials and
-demand they equal n (diagonal) or vanish (off-diagonal) identically in the
-free parameters.  The exact numeric checks reduce sums of roots of unity
-modulo the cyclotomic polynomial.  Floating checks are smoke tests only; a
-symbolic failure is authoritative even if sampled floats look fine.
+One exact Gram kernel per representation checks every row pair i < j.  The
+symbolic kernel groups the terms of sum_k row_i[k]/row_j[k] by parameter
+part and demands each group's 4th-root sum vanish, so the identity holds for
+all values of the free parameters; the Butson kernel does the same over m-th
+roots.  Root sums are tested for zero exactly, modulo the cyclotomic
+polynomial.  Floating checks are smoke tests only; a symbolic failure is
+authoritative even if sampled floats look fine.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 
 from .cyclotomic import root_sum_is_zero
 from .matrices import ButsonMatrix, ComplexMatrix, SymbolicMatrix
-from .symbolic import Gaussian, GAUSSIAN_UNITS, LaurentPoly
 
 DEFAULT_TOL = 1e-10
 
@@ -54,133 +55,108 @@ def _fail(i: int, j: int, detail: object, message: str = "") -> VerificationResu
     return VerificationResult(False, (i, j, detail), message)
 
 
-def _poly_from_acc(acc: dict) -> LaurentPoly:
-    return LaurentPoly({k: Gaussian(re, im) for k, (re, im) in acc.items()})
-
-
-def _row_product_sum(row_i, recip_row_j, skip: set[int]) -> dict:
-    """Accumulate sum_k row_i[k]*recip_row_j[k] as {exps: [re, im]}."""
-    acc: dict = {}
-    for k, (x, r) in enumerate(zip(row_i, recip_row_j)):
-        if k in skip:
-            continue
-        prod = x * r
-        g = GAUSSIAN_UNITS[prod.ipow]
-        cur = acc.get(prod.exps)
-        if cur is None:
-            acc[prod.exps] = (g.re, g.im)
+def _laurent_str(groups: dict) -> str:
+    """A failure witness: each nonzero group as its coefficient
+    (c0 - c2) + (c1 - c3)i times its parameter part, sorted by that part."""
+    parts = []
+    for exps, c in sorted(groups.items()):
+        re, im = c[0] - c[2], c[1] - c[3]
+        if im == 0:
+            coef = str(re)
+        elif re == 0:
+            coef = {1: "i", -1: "-i"}.get(im, f"{im}i")
         else:
-            acc[prod.exps] = (cur[0] + g.re, cur[1] + g.im)
-    return {k: v for k, v in acc.items() if v != (0, 0)}
+            sign = "+" if im > 0 else "-"
+            coef = f"({re}{sign}{'' if abs(im) == 1 else abs(im)}i)"
+        if re or im:
+            mono = "*".join(s if e == 1 else f"{s}^{e}" for s, e in exps)
+            parts.append(f"{coef}*{mono}" if mono else coef)
+    return " + ".join(parts)
+
+
+def _gram_symbolic(rows) -> VerificationResult:
+    """sum_k row_i[k]/row_j[k] == 0 identically for every row pair i < j.
+
+    Columns where either cell is zero are skipped.  Terms are grouped by
+    their parameter part; each group is a count vector over the 4th roots
+    i^k, and the sum vanishes exactly when every group does.  Pairs j < i
+    need no check: the automorphism x -> 1/x, i -> -i carries the (i,j) sum
+    onto the (j,i) sum, and a diagonal sum just counts ones.
+    """
+    quotients: dict = {}
+    n = len(rows)
+    for i in range(n):
+        row_i = rows[i]
+        for j in range(i + 1, n):
+            groups: dict = {}
+            for x, y in zip(row_i, rows[j]):
+                if x is None or y is None:
+                    continue
+                key = (x.exps, y.exps)
+                exps = quotients.get(key)
+                if exps is None:
+                    exps = quotients[key] = (x * y.reciprocal()).exps
+                counts = groups.get(exps)
+                if counts is None:
+                    counts = groups[exps] = [0, 0, 0, 0]
+                counts[(x.ipow - y.ipow) % 4] += 1
+            if not all(root_sum_is_zero(c, 4) for c in groups.values()):
+                return _fail(i, j, _laurent_str(groups), "off-diagonal sum != 0")
+    return _ok()
+
+
+def _gram_butson(logs, m: int) -> VerificationResult:
+    """sum_k zeta_m^(logs[i][k] - logs[j][k]) == 0 for every row pair i < j,
+    skipping columns where either cell is zero."""
+    n = len(logs)
+    for i in range(n):
+        row_i = logs[i]
+        for j in range(i + 1, n):
+            counts = [0] * m
+            for x, y in zip(row_i, logs[j]):
+                if x is not None and y is not None:
+                    counts[(x - y) % m] += 1
+            if not root_sum_is_zero(counts, m):
+                return _fail(i, j, counts, "off-diagonal root sum != 0")
+    return _ok()
 
 
 def check_inverse_orthogonal(matrix: SymbolicMatrix) -> VerificationResult:
     """A * (1/a_ji) == n*I identically in the free parameters."""
-    n = matrix.n
-    for i in range(n):
-        for j, cell in enumerate(matrix.rows[i]):
-            if cell is None:
-                raise ValueError(f"zero cell at ({i},{j})")
-    recips = [[cell.reciprocal() for cell in row] for row in matrix.rows]
-    for i in range(n):
-        row = matrix.rows[i]
-        for j in range(n):
-            acc = _row_product_sum(row, recips[j], skip=set())
-            if i == j:
-                if acc != {(): (n, 0)}:
-                    return _fail(i, j, _poly_from_acc(acc), f"diagonal sum != {n}")
-            elif acc:
-                return _fail(i, j, _poly_from_acc(acc), "off-diagonal sum != 0")
-    return _ok()
-
-
-def _check_conference_symbolic(matrix: SymbolicMatrix) -> VerificationResult:
-    n = matrix.n
-    for i in range(n):
-        for j, cell in enumerate(matrix.rows[i]):
-            if i == j and cell is not None:
-                return _fail(i, j, "nonzero diagonal cell", "structure")
-            if i != j and cell is None:
-                return _fail(i, j, "zero off-diagonal cell", "structure")
-    recips = [
-        [None if cell is None else cell.reciprocal() for cell in row]
-        for row in matrix.rows
-    ]
-    target = n - 1
-    for i in range(n):
-        row = matrix.rows[i]
-        for j in range(n):
-            rrow = recips[j]
-            acc: dict = {}
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                prod = row[k] * rrow[k]
-                g = GAUSSIAN_UNITS[prod.ipow]
-                cur = acc.get(prod.exps)
-                if cur is None:
-                    acc[prod.exps] = (g.re, g.im)
-                else:
-                    acc[prod.exps] = (cur[0] + g.re, cur[1] + g.im)
-            acc = {k: v for k, v in acc.items() if v != (0, 0)}
-            if i == j:
-                if acc != {(): (target, 0)}:
-                    return _fail(i, j, _poly_from_acc(acc), f"diagonal sum != {target}")
-            elif acc:
-                return _fail(i, j, _poly_from_acc(acc), "off-diagonal sum != 0")
-    return _ok()
-
-
-def _check_conference_butson(matrix: ButsonMatrix) -> VerificationResult:
-    n, m = matrix.n, matrix.m
-    logs = matrix.logs
-    for i in range(n):
-        for j in range(n):
-            if i == j and logs[i][j] is not None:
-                return _fail(i, j, "nonzero diagonal cell", "structure")
-            if i != j and logs[i][j] is None:
-                return _fail(i, j, "zero off-diagonal cell", "structure")
-    for i in range(n):
-        for j in range(i + 1, n):
-            counts = [0] * m
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                counts[(logs[i][k] - logs[j][k]) % m] += 1
-            if not root_sum_is_zero(counts, m):
-                return _fail(i, j, counts, "off-diagonal root sum != 0")
-    return _ok()
+    for i, row in enumerate(matrix.rows):
+        if None in row:
+            raise ValueError(f"zero cell at ({i},{row.index(None)})")
+    return _gram_symbolic(matrix.rows)
 
 
 def check_conference(matrix: Union[SymbolicMatrix, ButsonMatrix]) -> VerificationResult:
     """Zero diagonal, unimodular elsewhere, C * C^H == (n-1)*I exactly."""
     if isinstance(matrix, SymbolicMatrix):
-        return _check_conference_symbolic(matrix)
-    if isinstance(matrix, ButsonMatrix):
-        return _check_conference_butson(matrix)
-    raise TypeError(f"cannot conference-check {type(matrix).__name__}")
-
-
-def _check_hadamard_butson(matrix: ButsonMatrix) -> VerificationResult:
-    n, m = matrix.n, matrix.m
-    logs = matrix.logs
-    for i in range(n):
-        for j in range(n):
-            if logs[i][j] is None:
-                return _fail(i, j, "zero cell", "not unimodular")
-    for i in range(n):
-        for j in range(i + 1, n):
-            counts = [0] * m
-            for k in range(n):
-                counts[(logs[i][k] - logs[j][k]) % m] += 1
-            if not root_sum_is_zero(counts, m):
-                return _fail(i, j, counts, "off-diagonal root sum != 0")
-    return _ok()
+        rows = matrix.rows
+    elif isinstance(matrix, ButsonMatrix):
+        rows = matrix.logs
+    else:
+        raise TypeError(f"cannot conference-check {type(matrix).__name__}")
+    for i, row in enumerate(rows):
+        if row[i] is None and row.count(None) == 1:
+            continue
+        for j, cell in enumerate(row):
+            if i == j and cell is not None:
+                return _fail(i, j, "nonzero diagonal cell", "structure")
+            if i != j and cell is None:
+                return _fail(i, j, "zero off-diagonal cell", "structure")
+    if isinstance(matrix, SymbolicMatrix):
+        return _gram_symbolic(rows)
+    return _gram_butson(rows, matrix.m)
 
 
 def _check_hadamard_complex(matrix: ComplexMatrix, tol: float) -> VerificationResult:
     arr = matrix.array
     n = matrix.n
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        i, j = int(bad[0][0]), int(bad[0][1])
+        return _fail(i, j, complex(arr[i, j]), "not finite")
     mods = np.abs(np.abs(arr) - 1.0)
     worst = np.unravel_index(int(np.argmax(mods)), mods.shape)
     if mods[worst] > tol:
@@ -198,7 +174,10 @@ def check_hadamard(
 ) -> VerificationResult:
     """All cells unimodular and M * M^H == n*I (exact for Butson input)."""
     if isinstance(matrix, ButsonMatrix):
-        return _check_hadamard_butson(matrix)
+        for i, row in enumerate(matrix.logs):
+            if None in row:
+                return _fail(i, row.index(None), "zero cell", "not unimodular")
+        return _gram_butson(matrix.logs, matrix.m)
     if isinstance(matrix, ComplexMatrix):
         if tol <= 0:
             raise ValueError("tolerance must be positive")

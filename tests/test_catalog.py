@@ -3,7 +3,7 @@ import pytest
 
 from confhad import catalog
 from confhad.matrices import (
-    double_hadamard,
+    double_orthogonal,
     eval_exponent_form,
     substitute,
     to_butson,
@@ -87,14 +87,14 @@ class TestDerive:
     def test_doubled_conference_is_equivalent_where_expected(self):
         # the real and skew sources double straight onto the printed class
         for x in "abcfg":
-            doubled = to_butson(double_hadamard(catalog.build(f"C6{x}")))
+            doubled = to_butson(double_orthogonal(catalog.build(f"C6{x}")))
             assert check_hadamard(doubled)
             printed = to_butson(catalog.build_verified(f"H12{x}"))
             assert are_equivalent(doubled, printed).equivalent
 
     def test_doubled_c6d_lands_at_another_family_point(self):
         # printed H12d is the derived family at a=i, not at all-ones
-        doubled = to_butson(double_hadamard(catalog.build("C6d")))
+        doubled = to_butson(double_orthogonal(catalog.build("C6d")))
         printed = to_butson(catalog.build_verified("H12d"))
         assert check_hadamard(doubled)
         assert are_equivalent(doubled, printed).inequivalent

@@ -74,6 +74,15 @@ def test_verify_file_target(capsys, tmp_path):
     bad.write_text("SYM 2\n1 1\n1 1\n")
     code, out, _ = run(capsys, "verify", str(bad))
     assert code == 1
+    # non-finite floats fail with the first such cell as the witness
+    for text, witness in (
+        ("NUM 2\nnan,0 nan,0\nnan,0 nan,0\n", "fail at (0,0): (nan+0j) [not finite]"),
+        ("NUM 2\n1,0 1,0\n1,0 inf,0\n", "fail at (1,1): (inf+0j) [not finite]"),
+    ):
+        bad = tmp_path / "bad.num"
+        bad.write_text(text)
+        code, out, _ = run(capsys, "verify", str(bad))
+        assert (code, out) == (1, witness + "\n")
 
 
 def test_equiv_exit_codes(capsys):
@@ -148,3 +157,10 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build", "C6a", "--frobnicate"])
     assert exc.value.code == 64
+    for command in (["equiv", "H12a", "H12b"], ["specialize", "O12a"]):
+        for budget in ("-5", "0", "x"):  # a search needs at least one node
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--budget", budget])
+            assert exc.value.code == 64
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--budget" in captured.err

@@ -11,7 +11,7 @@ from confhad.equivalence import (
     fingerprint,
     specialize_and_classify,
 )
-from confhad.matrices import ButsonMatrix, double_hadamard, to_butson
+from confhad.matrices import ButsonMatrix, double_orthogonal, to_butson
 from confhad.verify import check_hadamard
 
 
@@ -111,7 +111,7 @@ class TestAreEquivalent:
     def test_inequivalent_by_exhausted_search(self):
         # doubled C6d vs the printed class: fingerprints differ already,
         # so force the search path with a transformed pair of distinct classes
-        A = to_butson(double_hadamard(catalog.build("C6d")))
+        A = to_butson(double_orthogonal(catalog.build("C6d")))
         B = butson("H12d")
         verdict = are_equivalent(A, B)
         assert verdict.inequivalent

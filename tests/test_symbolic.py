@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from confhad.symbolic import (
-    Gaussian,
-    LaurentPoly,
     Monomial,
     ONE,
     entry_str,
@@ -92,19 +90,6 @@ class TestEvaluation:
         numeric = mono("b*a^-1").eval_complex({"a": 1j, "b": -1})
         assert abs(numeric - 1j) < 1e-15
 
-    def test_eval_cyc_ring_values(self):
-        from confhad.cyclotomic import CycValue
-
-        value = mono("b*a^-1").eval_cyc({"a": CycValue.root(4, 1), "b": CycValue.root(4, 2)})
-        assert value == CycValue.root(4, 1)
-        # mixed orders lift to the common ring
-        value = mono("a*b").eval_cyc({"a": CycValue.root(3, 1), "b": CycValue.root(4, 1)})
-        assert value == CycValue.root(12, 7)
-        with pytest.raises(ValueError):
-            mono("a").eval_cyc({"a": CycValue.one(4) + CycValue.one(4)})
-        with pytest.raises(KeyError):
-            mono("a").eval_cyc({})
-
     def test_eval_at_all_ones_is_unit(self):
         for text in ("i*a*b^-1", "-c", "a^3"):
             m = mono(text)
@@ -143,59 +128,3 @@ class TestParsing:
     def test_rejects_garbage(self, text):
         with pytest.raises(ValueError):
             parse_entry(text)
-
-
-class TestLaurentPoly:
-    def test_accumulate_examples(self):
-        p = LaurentPoly.zero().add_monomial(mono("a"))
-        assert p.coefficient((("a", 1),)) == Gaussian(1, 0)
-        assert p.add_monomial(mono("-a")).is_zero
-        q = p.add_monomial(mono("i*a")).add_monomial(mono("i*a"))
-        assert q.coefficient((("a", 1),)) == Gaussian(1, 2)
-
-    def test_canonical_form_drops_zeros(self):
-        p = LaurentPoly({(("a", 1),): Gaussian(0, 0)})
-        assert p.is_zero and p == LaurentPoly.zero()
-
-    @given(st.lists(monomials, max_size=6), st.lists(monomials, max_size=6))
-    def test_addition_commutes(self, xs, ys):
-        p = LaurentPoly.zero()
-        for x in xs:
-            p = p.add_monomial(x)
-        q = LaurentPoly.zero()
-        for y in ys:
-            q = q.add_monomial(y)
-        assert p + q == q + p
-
-    @given(st.lists(monomials, min_size=1, max_size=4))
-    def test_add_then_subtract_self(self, xs):
-        p = LaurentPoly.zero()
-        for x in xs:
-            p = p.add_monomial(x)
-        assert (p - p).is_zero
-
-    def test_multiplication_matches_monomials(self):
-        p = LaurentPoly.from_monomial(mono("i*a"))
-        q = LaurentPoly.from_monomial(mono("b*a^-1"))
-        assert p * q == LaurentPoly.from_monomial(mono("i*b"))
-
-    @given(
-        st.lists(monomials, max_size=4),
-        st.lists(monomials, max_size=4),
-        st.lists(monomials, max_size=3),
-    )
-    def test_mul_commutes_and_distributes(self, xs, ys, zs):
-        def poly(ms):
-            p = LaurentPoly.zero()
-            for m in ms:
-                p = p.add_monomial(m)
-            return p
-
-        p, q, r = poly(xs), poly(ys), poly(zs)
-        assert p * q == q * p
-        assert p * (q + r) == p * q + p * r
-
-    def test_str_is_deterministic(self):
-        p = LaurentPoly.zero().add_monomial(mono("b")).add_monomial(mono("a"))
-        assert str(p) == str(p)
-        assert "a" in str(p) and "b" in str(p)
