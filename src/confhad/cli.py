@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import math
 import random
 import sys
 from pathlib import Path
@@ -57,6 +58,17 @@ def _node_budget(text: str) -> int:
     if budget < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return budget
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite positive float."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return tol
 
 
 def _load_target(target: str, verified: bool) -> AnyMatrix:
@@ -287,7 +299,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("target")
     p.add_argument("--numeric", action="store_true", help="evaluate at unit phases first")
     p.add_argument("--verified", action="store_true", help="apply certified overrides")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--phases")
     p.add_argument("--seed", type=int, default=catalog.DEFAULT_SEED)
 

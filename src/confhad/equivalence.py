@@ -7,16 +7,18 @@ cheaply; the rest go to a backtracking search that either produces a verified
 witness or exhausts the space.  Diagonals range over the matrices' own root
 order, so "inequivalent by exhausted search" is relative to that notion.
 
-Zero-diagonal (conference) inputs are supported: zeros must map onto zeros,
-which forces the column permutation to equal the row permutation and shrinks
-the search to single-permutation space.
+Conference inputs are supported when each matrix has exactly one zero per
+row and per column (a permutation pattern, such as the zero diagonal): zeros
+must map onto zeros, so once the columns are permuted to put the zeros on the
+diagonal the column permutation equals the row permutation and the search
+shrinks to single-permutation space.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .matrices import ButsonMatrix, SymbolicMatrix, dephase, eval_exact
@@ -31,8 +33,10 @@ class Fingerprint:
 
     Computed over ordered row/column pairs so that it is exactly invariant
     under row/column permutations and unit diagonal scalings; values are logs
-    base zeta_m with m the matrix's minimal root order.  ``zeros`` records how
-    many quadruples were skipped for touching a zero cell (conference mode).
+    base zeta_m with m the order of the group the quadruple values generate
+    (not the matrix's root order, which diagonal scalings can change).
+    ``zeros`` records how many quadruples were skipped for touching a zero
+    cell (conference mode).
     """
 
     n: int
@@ -47,44 +51,48 @@ class Fingerprint:
 
 
 def _quadruple_counts(M: ButsonMatrix, skip_zeros: bool) -> tuple[dict[int, int], int]:
+    """Quadruple-value counts and the number of skipped (zero-touching) quadruples.
+
+    For rows i, k the value at columns j, l is d[j] - d[l] with d = row_i - row_k,
+    so the counts of a row pair are the cyclic autocorrelation of the histogram
+    of d over the s columns where both rows are nonzero, less the s terms j = l.
+    The pair (k, i) negates d, which leaves that autocorrelation unchanged.
+    """
     n, m, logs = M.n, M.m, M.logs
     counts: Counter[int] = Counter()
     skipped = 0
     for i in range(n):
         row_i = logs[i]
-        for k in range(n):
-            if k == i:
-                continue
-            row_k = logs[k]
-            for j in range(n):
-                aij = row_i[j]
-                akj = row_k[j]
-                for l in range(n):
-                    if l == j:
-                        continue
-                    ail = row_i[l]
-                    akl = row_k[l]
-                    if aij is None or akl is None or ail is None or akj is None:
-                        if not skip_zeros:
-                            raise ValueError("zero cell in Hadamard fingerprint")
-                        skipped += 1
-                        continue
-                    counts[(aij + akl - ail - akj) % m] += 1
-    return dict(counts), skipped
+        for k in range(i + 1, n):
+            hist = Counter(
+                (a - b) % m for a, b in zip(row_i, logs[k]) if a is not None and b is not None
+            )
+            s = sum(hist.values())
+            if s < n and not skip_zeros:
+                raise ValueError("zero cell in Hadamard fingerprint")
+            skipped += 2 * (n * (n - 1) - s * (s - 1))
+            items = hist.items()
+            for a, ca in items:
+                for b, cb in items:
+                    counts[(a - b) % m] += 2 * ca * cb
+            counts[0] -= 2 * s
+    return {v: c for v, c in counts.items() if c}, skipped
+
+
+def _fingerprint(M: ButsonMatrix, skip_zeros: bool) -> Fingerprint:
+    counts, skipped = _quadruple_counts(M, skip_zeros)
+    g = gcd(M.m, *counts)  # zeta_m^g generates the quadruple values
+    return Fingerprint(M.n, M.m // g, tuple(sorted((v // g, c) for v, c in counts.items())), skipped)
 
 
 def fingerprint(M: ButsonMatrix) -> Fingerprint:
     """Equivalence invariant for zero-free exact matrices."""
-    M = M.reduce_order()
-    counts, _ = _quadruple_counts(M, skip_zeros=False)
-    return Fingerprint(M.n, M.m, tuple(sorted(counts.items())), 0)
+    return _fingerprint(M, skip_zeros=False)
 
 
 def conference_fingerprint(M: ButsonMatrix) -> Fingerprint:
     """Fingerprint variant that skips quadruples touching zero cells."""
-    M = M.reduce_order()
-    counts, skipped = _quadruple_counts(M, skip_zeros=True)
-    return Fingerprint(M.n, M.m, tuple(sorted(counts.items())), skipped)
+    return _fingerprint(M, skip_zeros=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,10 +299,22 @@ def _search_hadamard(A: ButsonMatrix, B: ButsonMatrix, budget: _Budget) -> Optio
     return None
 
 
-def _search_conference(A: ButsonMatrix, B: ButsonMatrix, budget: _Budget) -> Optional[MonomialTransform]:
-    """Search with col perm == row perm (forced by the zero diagonal)."""
+def _zero_columns(M: ButsonMatrix) -> tuple[int, ...]:
+    """Column of each row's zero; ValueError unless the zeros form a permutation pattern."""
+    cols = tuple(row.index(None) if row.count(None) == 1 else -1 for row in M.logs)
+    if sorted(cols) != list(range(M.n)):
+        raise ValueError("zero cells must form a permutation pattern")
+    return cols
+
+
+def _search_conference(
+    A: ButsonMatrix, B: ButsonMatrix, za: Sequence[int], zb: Sequence[int], budget: _Budget
+) -> Optional[MonomialTransform]:
+    """Search with col perm == row perm, forced once the columns are permuted so
+    the zeros (row i's in column za[i] of A, zb[i] of B) lie on the diagonal."""
     n, m = A.n, A.m
-    la, lb = A.logs, B.logs
+    la = [[row[c] for c in za] for row in A.logs]
+    lb = [[row[c] for c in zb] for row in B.logs]
     sigma = [-1] * n
     used = [False] * n
     e = [None] * n  # column logs, gauge rd[0] = 0
@@ -373,9 +393,10 @@ def _search_conference(A: ButsonMatrix, B: ButsonMatrix, budget: _Budget) -> Opt
         return False
 
     if extend(0):
-        witness = _witness_from_maps(A, B, sigma, list(sigma))
-        if witness is not None:
-            return witness
+        tau = [0] * n
+        for j in range(n):
+            tau[zb[j]] = za[sigma[j]]
+        return _witness_from_maps(A, B, sigma, tau)
     return None
 
 
@@ -394,14 +415,12 @@ def are_equivalent(
     m = lcm(a0.m, b0.m)
     A, B = a0.lift(m), b0.lift(m)
 
-    za, zb = A.zero_positions(), B.zero_positions()
-    if len(za) != len(zb):
+    zeros = len(A.zero_positions())
+    if zeros != len(B.zero_positions()):
         return EquivalenceVerdict("inequivalent", None, "zero cell counts differ", 0)
-    conference_mode = bool(za)
+    conference_mode = zeros > 0
     if conference_mode:
-        diag = {(i, i) for i in range(A.n)}
-        if za != diag or zb != diag:
-            raise ValueError("zero cells must form the diagonal")
+        za, zb = _zero_columns(A), _zero_columns(B)
         fa, fb = conference_fingerprint(A), conference_fingerprint(B)
     else:
         fa, fb = fingerprint(A), fingerprint(B)
@@ -411,7 +430,7 @@ def are_equivalent(
     tracker = _Budget(budget)
     try:
         if conference_mode:
-            witness = _search_conference(A, B, tracker)
+            witness = _search_conference(A, B, za, zb, tracker)
         else:
             witness = _search_hadamard(A, B, tracker)
     except _OutOfBudget:

@@ -11,6 +11,7 @@ authoritative even if sampled floats look fine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -179,8 +180,8 @@ def check_hadamard(
                 return _fail(i, row.index(None), "zero cell", "not unimodular")
         return _gram_butson(matrix.logs, matrix.m)
     if isinstance(matrix, ComplexMatrix):
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < tol < math.inf:
+            raise ValueError("tolerance must be finite and positive")
         return _check_hadamard_complex(matrix, tol)
     raise TypeError(f"cannot hadamard-check {type(matrix).__name__}")
 

@@ -164,3 +164,9 @@ def test_usage_errors(capsys):
             assert exc.value.code == 64
             captured = capsys.readouterr()
             assert captured.out == "" and "--budget" in captured.err
+    for tol in ("nan", "inf", "-inf", "-1", "0", "x"):  # a tolerance is finite and positive
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "H12a", "--numeric", "--tol", tol])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tol" in captured.err

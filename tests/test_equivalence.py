@@ -75,6 +75,15 @@ class TestFingerprint:
         )
         assert conference_fingerprint(T.apply(M)) == base
 
+    def test_order_is_generated_by_the_quadruple_values(self):
+        # a 4th-root diagonal scaling of a +-1 matrix raises its root order
+        # but leaves every quadruple product unchanged
+        real = butson("H12a")
+        scaled = MonomialTransform(4, tuple(range(12)), tuple(range(12)), (1,) + (0,) * 11, (0,) * 12).apply(real)
+        assert scaled.reduce_order().m == 4
+        assert fingerprint(scaled) == fingerprint(real) and fingerprint(real).m == 2
+        assert fingerprint(ButsonMatrix(4, [[1]])) == fingerprint(ButsonMatrix(1, [[0]]))
+
     def test_lines_are_sorted_and_stable(self):
         fp = fingerprint(butson("H12f"))
         assert fp.lines() == fp.lines()
@@ -103,6 +112,42 @@ class TestAreEquivalent:
         assert verdict.equivalent
         w = verdict.witness
         assert w.row_perm == w.col_perm
+
+    def test_fourth_root_diagonal_scaling_is_equivalent(self):
+        rng = random.Random(41)
+        for name in ("H12a", "H12c"):
+            real = butson(name)
+            diag = tuple(rng.randrange(4) for _ in range(12))
+            scaled = MonomialTransform(4, tuple(range(12)), tuple(range(12)), diag, (0,) * 12).apply(real)
+            verdict = are_equivalent(real, scaled)
+            assert verdict.equivalent and verdict.witness.maps(real, scaled)
+
+    def test_row_swapped_conference_matrices(self):
+        from confhad.matrices import bordered_circulant
+        from confhad.symbolic import Monomial
+
+        def paley_core(q):
+            squares = {k * k % q for k in range(1, q)}
+            return to_butson(bordered_circulant([None] + [Monomial(0 if k in squares else 2) for k in range(1, q)]))
+
+        rng = random.Random(17)
+        for C in (butson("C6a"), paley_core(13), paley_core(17)):
+            n = C.n
+            rows = list(range(n))
+            i, j = rng.sample(rows, 2)
+            rows[i], rows[j] = j, i
+            swapped = ButsonMatrix(C.m, [C.logs[r] for r in rows])
+            verdict = are_equivalent(C, swapped)
+            assert verdict.equivalent and verdict.witness.maps(C, swapped)
+            verdict = are_equivalent(swapped, C)
+            assert verdict.equivalent and verdict.witness.maps(swapped, C)
+
+    def test_zero_sets_other_than_permutation_patterns_raise(self):
+        C = butson("C6a")
+        logs = [list(row) for row in C.logs]
+        logs[0][0], logs[0][1] = 0, None  # row 0 and column 1 hold two zeros
+        with pytest.raises(ValueError, match="permutation pattern"):
+            are_equivalent(C, ButsonMatrix(C.m, logs))
 
     def test_inequivalent_by_fingerprint(self):
         verdict = are_equivalent(butson("H12a"), butson("H12d"))

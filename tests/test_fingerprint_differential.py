@@ -1,0 +1,141 @@
+"""Differential tests: the histogram kernel behind ``fingerprint`` against the
+straightforward O(n^4) loop it replaced.
+
+The oracle below visits every ordered row pair i != k and column pair j != l,
+counts the quadruple value M[i][j] + M[k][l] - M[i][l] - M[k][j] (logs), and
+either skips or rejects the quadruples that touch a zero cell.  The kernel
+must return the same counts and the same number of skipped quadruples in
+both modes, and raise where the oracle raises.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from confhad import catalog
+from confhad.equivalence import MonomialTransform, _quadruple_counts
+from confhad.matrices import (
+    ButsonMatrix,
+    bordered_circulant,
+    double_orthogonal,
+    eval_exact,
+    to_butson,
+)
+from confhad.symbolic import Monomial
+
+
+def old_quadruple_counts(M, skip_zeros):
+    n, m, logs = M.n, M.m, M.logs
+    counts = Counter()
+    skipped = 0
+    for i in range(n):
+        row_i = logs[i]
+        for k in range(n):
+            if k == i:
+                continue
+            row_k = logs[k]
+            for j in range(n):
+                aij = row_i[j]
+                akj = row_k[j]
+                for l in range(n):
+                    if l == j:
+                        continue
+                    ail = row_i[l]
+                    akl = row_k[l]
+                    if aij is None or akl is None or ail is None or akj is None:
+                        if not skip_zeros:
+                            raise ValueError("zero cell in Hadamard fingerprint")
+                        skipped += 1
+                        continue
+                    counts[(aij + akl - ail - akj) % m] += 1
+    return dict(counts), skipped
+
+
+def assert_kernel_agrees(M):
+    """Both modes; returns whether the Hadamard mode raised."""
+    assert _quadruple_counts(M, skip_zeros=True) == old_quadruple_counts(M, True)
+    try:
+        want = old_quadruple_counts(M, False)
+    except ValueError:
+        with pytest.raises(ValueError, match="zero cell"):
+            _quadruple_counts(M, skip_zeros=False)
+        return True
+    assert _quadruple_counts(M, skip_zeros=False) == want
+    return False
+
+
+def catalog_butson():
+    """Every catalog entry with a Butson form: printed, verified and derived."""
+    out = []
+    for name in catalog.names():
+        if catalog.kind(name) in ("exponent", "family"):
+            continue
+        candidates = [catalog.build(name), catalog.build_verified(name)]
+        if catalog.recipe_text(name) is not None:
+            candidates.append(catalog.derive(name))
+        out += [to_butson(c) for c in candidates if c.is_constant]
+    return out
+
+
+def image(M, rng):
+    """A seeded monomial image over a multiple of the matrix's root order;
+    independent row and column permutations move a zero diagonal off it."""
+    big = M.m * rng.choice((1, 2, 3))
+    n = M.n
+    t = MonomialTransform(
+        big,
+        tuple(rng.sample(range(n), n)),
+        tuple(rng.sample(range(n), n)),
+        tuple(rng.randrange(big) for _ in range(n)),
+        tuple(rng.randrange(big) for _ in range(n)),
+    )
+    return t.apply(M.lift(big))
+
+
+def legendre(a, q):
+    return 1 if pow(a % q, (q - 1) // 2, q) == 1 else -1
+
+
+def paley_core(q):
+    row = [None] + [Monomial(0 if legendre(k, q) == 1 else 2) for k in range(1, q)]
+    return bordered_circulant(row)
+
+
+def test_kernel_matches_old_loop_on_catalog():
+    raised = [assert_kernel_agrees(M) for M in catalog_butson()]
+    assert True in raised and False in raised
+
+
+def test_kernel_matches_old_loop_on_images():
+    rng = random.Random(4127)
+    for M in catalog_butson():
+        for _ in range(2):
+            assert_kernel_agrees(image(M, rng))
+
+
+def test_kernel_matches_old_loop_on_order4_points():
+    rng = random.Random(912)
+    for name in ("O12a", "O12d", "O12h"):
+        matrix = catalog.build_verified(name)
+        symbols = sorted(matrix.symbols())
+        for _ in range(4):
+            point = {s: rng.randrange(4) for s in symbols}
+            assert_kernel_agrees(eval_exact(matrix, point, 4))
+
+
+def test_kernel_matches_old_loop_on_paley():
+    for q in (5, 13, 17, 29):
+        core = paley_core(q)
+        assert assert_kernel_agrees(to_butson(core))
+        if 2 * core.n <= 30:
+            assert not assert_kernel_agrees(to_butson(double_orthogonal(core)))
+
+
+def test_kernel_matches_old_loop_on_scattered_zeros():
+    # zero sets that are no permutation pattern: rows with several zeros or none
+    rng = random.Random(58)
+    for n in (1, 2, 3, 5, 8):
+        for m in (1, 2, 3, 4, 6):
+            logs = [[None if rng.random() < 0.2 else rng.randrange(m) for _ in range(n)] for _ in range(n)]
+            assert_kernel_agrees(ButsonMatrix(m, logs))

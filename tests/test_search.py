@@ -106,7 +106,7 @@ def test_symmetry_reduce_empty():
 
 def test_solution_classes_under_matrix_equivalence():
     # core scaling is a symmetry of the search set, not of matrix equivalence:
-    # the 12 bordered (6,4) solutions split into 4 monomial classes (frozen)
+    # the 12 bordered (6,4) solutions split into 3 monomial classes (frozen)
     from confhad.equivalence import are_equivalent
 
     reps = []
@@ -121,5 +121,18 @@ def test_solution_classes_under_matrix_equivalence():
         (None, 0, 1, 3, 2),
         (None, 0, 2, 2, 0),
         (None, 0, 3, 1, 2),
-        (None, 1, 3, 3, 1),
     ]
+    # (None,1,3,3,1) is (None,0,2,2,0) with its core times i: scale the core
+    # rows by -i and the border column by i (the fingerprints used to differ
+    # only in the stored root order)
+    a, b = bordered_matrix((None, 1, 3, 3, 1), 4), bordered_matrix((None, 0, 2, 2, 0), 4)
+    verdict = are_equivalent(a, b)
+    assert verdict.equivalent
+    w = verdict.witness
+    assert w.m == 4
+    for i in range(6):
+        for j in range(6):
+            x, y = a.logs[w.row_perm[i]][w.col_perm[j]], b.logs[i][j]
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert (x + w.row_logs[i] + w.col_logs[j] - y) % 4 == 0

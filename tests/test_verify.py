@@ -119,6 +119,9 @@ class TestHadamard:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
             check_hadamard(ComplexMatrix(np.eye(2)), tol=0)
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                check_hadamard(ComplexMatrix(np.eye(2)), tol=tol)
 
     def test_float_and_exact_agree_on_catalog(self):
         for x in "abcdefg":
