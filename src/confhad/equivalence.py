@@ -7,11 +7,14 @@ cheaply; the rest go to a backtracking search that either produces a verified
 witness or exhausts the space.  Diagonals range over the matrices' own root
 order, so "inequivalent by exhausted search" is relative to that notion.
 
-Conference inputs are supported when each matrix has exactly one zero per
-row and per column (a permutation pattern, such as the zero diagonal): zeros
-must map onto zeros, so once the columns are permuted to put the zeros on the
-diagonal the column permutation equals the row permutation and the search
-shrinks to single-permutation space.
+One search serves Hadamard and conference inputs.  It dephases B about one
+cell and A about every cell in turn, which removes the diagonals, and then
+matches rows.  A quadruple that touches a zero cell has no value; it gets the
+sentinel ``_ZERO``, and the cells it hides are checked by the witness at the
+leaf, where a failure backtracks.  Zero cells must form a permutation pattern
+(one per row and per column, such as the zero diagonal).  That makes the
+columns of each dephased matrix pairwise distinct by their sentinel cells
+alone, so once the rows are matched the column map is forced.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .matrices import ButsonMatrix, SymbolicMatrix, dephase, eval_exact
+from .matrices import ButsonMatrix, SymbolicMatrix, eval_exact
 from .verify import check_hadamard, check_inverse_orthogonal
 
 DEFAULT_BUDGET = 10**8
@@ -199,67 +202,103 @@ def _witness_from_maps(
         for j in range(n):
             if (lb[i][j] is None) != (la[sigma[i]][tau[j]] is None):
                 return None
-    # propagate rd/cd over the nonzero cells from the gauge rd[0] = 0
+    # propagate rd/cd over the nonzero cells; each connected part of them has
+    # its own gauge, fixed by rd = 0 at its first row
     rd: list[Optional[int]] = [None] * n
     cd: list[Optional[int]] = [None] * n
-    rd[0] = 0
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                x = lb[i][j]
-                if x is None:
-                    continue
-                d = (x - la[sigma[i]][tau[j]]) % m
-                if rd[i] is not None and cd[j] is None:
-                    cd[j] = (d - rd[i]) % m
-                    changed = True
-                elif cd[j] is not None and rd[i] is None:
-                    rd[i] = (d - cd[j]) % m
-                    changed = True
-    if any(v is None for v in rd) or any(v is None for v in cd):
-        return None
+    for start in range(n):
+        if rd[start] is not None:
+            continue
+        rd[start] = 0
+        changed = True
+        while changed:
+            changed = False
+            for i in range(n):
+                for j in range(n):
+                    x = lb[i][j]
+                    if x is None:
+                        continue
+                    d = (x - la[sigma[i]][tau[j]]) % m
+                    if rd[i] is not None and cd[j] is None:
+                        cd[j] = (d - rd[i]) % m
+                        changed = True
+                    elif cd[j] is not None and rd[i] is None:
+                        rd[i] = (d - cd[j]) % m
+                        changed = True
+    cd = [0 if v is None else v for v in cd]  # all-zero columns
     cand = MonomialTransform(m, tuple(sigma), tuple(tau), tuple(rd), tuple(cd))
     return cand if cand.maps(A, B) else None
 
 
-def _search_hadamard(A: ButsonMatrix, B: ButsonMatrix, budget: _Budget) -> Optional[MonomialTransform]:
-    n, m = A.n, A.m
-    la = A.logs
-    Bd = dephase(B)
-    lb = Bd.logs
+_ZERO = -1  # dephased value of a quadruple that touches a zero cell
+
+
+def _dephased(M: ButsonMatrix, r: int, c: int) -> list[list[int]]:
+    """Logs of M[u][v]*M[r][c] / (M[u][c]*M[r][v]); _ZERO where any factor is zero."""
+    m, la = M.m, M.logs
+    head, anchor = la[r], la[r][c]
+    out = []
+    for row in la:
+        x = row[c]
+        if x is None or anchor is None:
+            out.append([_ZERO] * len(row))
+            continue
+        shift = anchor - x
+        if None in row or None in head:
+            out.append(
+                [_ZERO if a is None or b is None else (a + shift - b) % m for a, b in zip(row, head)]
+            )
+        else:
+            out.append([(a + shift - b) % m for a, b in zip(row, head)])
+    return out
+
+
+def _check_zero_pattern(M: ButsonMatrix) -> None:
+    """ValueError unless the zero cells form a permutation pattern."""
+    cols = [row.index(None) if row.count(None) == 1 else -1 for row in M.logs]
+    if sorted(cols) != list(range(M.n)):
+        raise ValueError("zero cells must form a permutation pattern")
+
+
+def _search(A: ButsonMatrix, B: ButsonMatrix, budget: _Budget) -> Optional[MonomialTransform]:
+    """Map B's row 0 onto each row r of A and its column b0 onto each column c.
+
+    B is dephased about (0, b0) and A about (r, c); rows are then assigned in
+    order among A's rows with the same value counts, each narrowing the columns
+    every column of B may map to.  Values that touch a zero are checked only by
+    the witness at the leaf.
+    """
+    n = A.n
+    la, b_row0 = A.logs, B.logs[0]
+    b0 = next((j for j, x in enumerate(b_row0) if x is not None), 0)
+    lb = _dephased(B, 0, b0)
     b_sigs = [_row_signature(row) for row in lb]
+    all_cols = frozenset(range(n))
 
     for r in range(n):
         for c in range(n):
-            # A dephased about row r / column c
-            anchor = la[r][c]
-            G = [
-                [(la[u][v] + anchor - la[u][c] - la[r][v]) % m for v in range(n)]
-                for u in range(n)
-            ]
+            # anchors agree in zero status; only the 1x1 zero matrix has a zero anchor
+            if (la[r][c] is None) != (b_row0[b0] is None):
+                continue
+            G = _dephased(A, r, c)
             g_sigs = [_row_signature(row) for row in G]
-            positions = [
-                {}
-                for _ in range(n)
-            ]  # per G-row: value -> frozenset of columns
-            for u in range(n):
+            positions = []  # per G-row: value -> frozenset of columns
+            for row in G:
                 by_val: dict[int, set[int]] = {}
-                for v, val in enumerate(G[u]):
+                for v, val in enumerate(row):
                     by_val.setdefault(val, set()).add(v)
-                positions[u] = {val: frozenset(vs) for val, vs in by_val.items()}
+                positions.append({val: frozenset(vs) for val, vs in by_val.items()})
 
-            all_cols = frozenset(range(n))
-            init_cands = [frozenset([c])] + [all_cols - {c}] * (n - 1)
+            init_cands = [all_cols - {c}] * n
+            init_cands[b0] = frozenset([c])
             used = [False] * n
             used[r] = True
             sigma = [r] + [-1] * (n - 1)
 
-            def extend(i: int, cands: list[frozenset[int]]) -> Optional[list[int]]:
+            def extend(i: int, cands: list[frozenset[int]]) -> Optional[MonomialTransform]:
                 if i == n:
                     tau = _sdr(cands)
-                    return tau
+                    return None if tau is None else _witness_from_maps(A, B, sigma, tau)
                 target = b_sigs[i]
                 row_b = lb[i]
                 for u in range(n):
@@ -268,135 +307,28 @@ def _search_hadamard(A: ButsonMatrix, B: ButsonMatrix, budget: _Budget) -> Optio
                     if not budget.spend():
                         raise _OutOfBudget
                     new_cands = []
-                    ok = True
                     pos_u = positions[u]
                     for j in range(n):
                         allowed = pos_u.get(row_b[j])
                         if allowed is None:
-                            ok = False
                             break
                         nc = cands[j] & allowed
                         if not nc:
-                            ok = False
                             break
                         new_cands.append(nc)
-                    if not ok:
-                        continue
-                    used[u] = True
-                    sigma[i] = u
-                    tau = extend(i + 1, new_cands)
-                    if tau is not None:
-                        return tau
-                    used[u] = False
-                    sigma[i] = -1
+                    else:
+                        used[u] = True
+                        sigma[i] = u
+                        witness = extend(i + 1, new_cands)
+                        if witness is not None:
+                            return witness
+                        used[u] = False
+                        sigma[i] = -1
                 return None
 
-            tau = extend(1, init_cands)
-            if tau is not None:
-                witness = _witness_from_maps(A, B, sigma, tau)
-                if witness is not None:
-                    return witness
-    return None
-
-
-def _zero_columns(M: ButsonMatrix) -> tuple[int, ...]:
-    """Column of each row's zero; ValueError unless the zeros form a permutation pattern."""
-    cols = tuple(row.index(None) if row.count(None) == 1 else -1 for row in M.logs)
-    if sorted(cols) != list(range(M.n)):
-        raise ValueError("zero cells must form a permutation pattern")
-    return cols
-
-
-def _search_conference(
-    A: ButsonMatrix, B: ButsonMatrix, za: Sequence[int], zb: Sequence[int], budget: _Budget
-) -> Optional[MonomialTransform]:
-    """Search with col perm == row perm, forced once the columns are permuted so
-    the zeros (row i's in column za[i] of A, zb[i] of B) lie on the diagonal."""
-    n, m = A.n, A.m
-    la = [[row[c] for c in za] for row in A.logs]
-    lb = [[row[c] for c in zb] for row in B.logs]
-    sigma = [-1] * n
-    used = [False] * n
-    e = [None] * n  # column logs, gauge rd[0] = 0
-    p = [None] * n  # p[i] = rd[i] + e[0]
-    state = {"e0": None}
-
-    def undo_all(undo: list) -> None:
-        for kind, idx in reversed(undo):
-            if kind == "e":
-                e[idx] = None
-            elif kind == "p":
-                p[idx] = None
-            else:
-                state["e0"] = None
-
-    def equations(t: int) -> Optional[list]:
-        """Derive/check all cells touching index t; return undo list or None."""
-        undo: list = []
-
-        def set_e(j: int, val: int) -> bool:
-            if e[j] is None:
-                e[j] = val
-                undo.append(("e", j))
-                return True
-            return e[j] == val
-
-        def set_p(i: int, val: int) -> bool:
-            if p[i] is None:
-                p[i] = val
-                undo.append(("p", i))
-                return True
-            return p[i] == val
-
-        def set_e0(val: int) -> bool:
-            if state["e0"] is None:
-                state["e0"] = val
-                undo.append(("e0", None))
-                return True
-            return state["e0"] == val
-
-        if t > 0:
-            if not set_e(t, (lb[0][t] - la[sigma[0]][sigma[t]]) % m):
-                undo_all(undo)
-                return None
-            if not set_p(t, (lb[t][0] - la[sigma[t]][sigma[0]]) % m):
-                undo_all(undo)
-                return None
-        for s in range(1, t):
-            for i, j in ((s, t), (t, s)):
-                if i == j or i == 0 or j == 0:
-                    continue
-                delta = (lb[i][j] - la[sigma[i]][sigma[j]]) % m
-                want_e0 = (p[i] + e[j] - delta) % m
-                if not set_e0(want_e0):
-                    undo_all(undo)
-                    return None
-        return undo
-
-    def extend(t: int) -> bool:
-        if t == n:
-            return True
-        for u in range(n):
-            if used[u]:
-                continue
-            if not budget.spend():
-                raise _OutOfBudget
-            sigma[t] = u
-            used[u] = True
-            undo = equations(t)
-            if undo is not None:
-                if extend(t + 1):
-                    return True
-                undo_all(undo)
-            used[u] = False
-            sigma[t] = -1
-        return False
-
-    if extend(0):
-        tau = [0] * n
-        for j in range(n):
-            tau[zb[j]] = za[sigma[j]]
-        return _witness_from_maps(A, B, sigma, tau)
+            witness = extend(1, init_cands)
+            if witness is not None:
+                return witness
     return None
 
 
@@ -418,9 +350,9 @@ def are_equivalent(
     zeros = len(A.zero_positions())
     if zeros != len(B.zero_positions()):
         return EquivalenceVerdict("inequivalent", None, "zero cell counts differ", 0)
-    conference_mode = zeros > 0
-    if conference_mode:
-        za, zb = _zero_columns(A), _zero_columns(B)
+    if zeros:
+        _check_zero_pattern(A)
+        _check_zero_pattern(B)
         fa, fb = conference_fingerprint(A), conference_fingerprint(B)
     else:
         fa, fb = fingerprint(A), fingerprint(B)
@@ -429,10 +361,7 @@ def are_equivalent(
 
     tracker = _Budget(budget)
     try:
-        if conference_mode:
-            witness = _search_conference(A, B, za, zb, tracker)
-        else:
-            witness = _search_hadamard(A, B, tracker)
+        witness = _search(A, B, tracker)
     except _OutOfBudget:
         return EquivalenceVerdict("unknown", None, "budget exhausted", tracker.used)
     if witness is not None:

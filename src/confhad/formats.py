@@ -23,6 +23,10 @@ from .matrices import (
 )
 from .symbolic import entry_str, parse_entry
 
+# Largest root order a BH header may name: the exact checks build m rows of
+# phi(m) ints for order m, so time and memory grow as m^2.
+MAX_BUTSON_ORDER = 1024
+
 
 class FormatError(ValueError):
     """Malformed matrix text; carries the 1-based line of the problem."""
@@ -117,6 +121,8 @@ def parse_butson(text: str, label: str | None = None) -> ButsonMatrix:
         raise FormatError(f"bad BH header {lines[0]!r}", 1) from None
     if n <= 0 or m <= 0:
         raise FormatError("dimension and order must be positive", 1)
+    if m > MAX_BUTSON_ORDER:
+        raise FormatError(f"order {m} above {MAX_BUTSON_ORDER}", 1)
     grid = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():

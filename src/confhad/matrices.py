@@ -448,46 +448,25 @@ def substitute(matrix: SymbolicMatrix, mapping: Mapping[str, Monomial | str]) ->
     )
 
 
-def dephase(matrix: AnyMatrix) -> AnyMatrix:
+def dephase(matrix: SymbolicMatrix) -> SymbolicMatrix:
     """Normalize the first row and column to ones.
 
     out[i][j] = M[i][j] * M[0][0] / (M[i][0] * M[0][j]); requires a zero-free
-    matrix.  Works on symbolic, exact Butson and float matrices.
+    matrix.
     """
-    if isinstance(matrix, SymbolicMatrix):
-        if matrix.has_zero():
-            raise ValueError("cannot dephase a matrix with zero cells")
-        corner = matrix.rows[0][0]
-        col_fix = [
-            (corner * matrix.rows[0][j].reciprocal()) for j in range(matrix.n)
-        ]
-        out = []
-        for i in range(matrix.n):
-            head_inv = matrix.rows[i][0].reciprocal()
-            out.append(
-                [matrix.rows[i][j] * head_inv * col_fix[j] for j in range(matrix.n)]
-            )
-        return SymbolicMatrix(out, matrix.label)
-    if isinstance(matrix, ButsonMatrix):
-        if matrix.has_zero():
-            raise ValueError("cannot dephase a matrix with zero cells")
-        logs = matrix.logs
-        corner = logs[0][0]
-        out_logs = [
-            [
-                (logs[i][j] + corner - logs[i][0] - logs[0][j]) % matrix.m
-                for j in range(matrix.n)
-            ]
-            for i in range(matrix.n)
-        ]
-        return ButsonMatrix(matrix.m, out_logs, matrix.label)
-    if isinstance(matrix, ComplexMatrix):
-        arr = matrix.array
-        if np.min(np.abs(arr)) == 0:
-            raise ValueError("cannot dephase a matrix with zero cells")
-        out = arr * arr[0, 0] / np.outer(arr[:, 0], arr[0, :])
-        return ComplexMatrix(out, matrix.label)
-    raise TypeError(f"cannot dephase {type(matrix).__name__}")
+    if matrix.has_zero():
+        raise ValueError("cannot dephase a matrix with zero cells")
+    corner = matrix.rows[0][0]
+    col_fix = [
+        (corner * matrix.rows[0][j].reciprocal()) for j in range(matrix.n)
+    ]
+    out = []
+    for i in range(matrix.n):
+        head_inv = matrix.rows[i][0].reciprocal()
+        out.append(
+            [matrix.rows[i][j] * head_inv * col_fix[j] for j in range(matrix.n)]
+        )
+    return SymbolicMatrix(out, matrix.label)
 
 
 def eval_exponent_form(

@@ -3,7 +3,8 @@ import pytest
 
 from confhad import catalog
 from confhad.cli import main
-from confhad.formats import parse_butson, parse_matrix, parse_numeric
+from confhad.cyclotomic import _tables
+from confhad.formats import MAX_BUTSON_ORDER, parse_butson, parse_matrix, parse_numeric
 
 
 def run(capsys, *argv):
@@ -94,6 +95,19 @@ def test_equiv_exit_codes(capsys):
     assert code == 3 and out.startswith("unknown")
 
 
+def test_equiv_tiny_conference_files(capsys, tmp_path):
+    # 1x1 and 2x2 conference matrices: a row sign maps "diag" onto "flip"
+    files = {}
+    texts = {"one": "BH 1 2\nz\n", "diag": "BH 2 2\nz 0\n0 z\n", "flip": "BH 2 2\nz 1\n0 z\n"}
+    for name, text in texts.items():
+        files[name] = tmp_path / f"{name}.bh"
+        files[name].write_text(text)
+        assert run(capsys, "verify", str(files[name]))[:2] == (0, "pass\n")
+    for a, b in (("one", "one"), ("diag", "flip"), ("flip", "diag")):
+        code, out, _ = run(capsys, "equiv", str(files[a]), str(files[b]))
+        assert code == 0 and out.startswith("equivalent (witness found;")
+
+
 def test_fingerprint_output(capsys):
     code, out, _ = run(capsys, "fingerprint", "H12a")
     assert code == 0
@@ -170,3 +184,12 @@ def test_usage_errors(capsys):
         assert exc.value.code == 64
         captured = capsys.readouterr()
         assert captured.out == "" and "--tol" in captured.err
+
+
+def test_bh_order_above_the_cap_is_a_usage_error(capsys, tmp_path):
+    too_big = tmp_path / "big.bh"
+    too_big.write_text(f"BH 2 {MAX_BUTSON_ORDER + 1}\n0 0\n0 1\n")
+    cached = _tables.cache_info().currsize
+    code, out, err = run(capsys, "verify", str(too_big))
+    assert (code, out) == (64, "") and "above" in err
+    assert _tables.cache_info().currsize == cached  # rejected before any table is built

@@ -180,13 +180,31 @@ class TestAreEquivalent:
         # completeness probe for the dephased-anchor search itself
         from math import lcm
 
-        from confhad.equivalence import _Budget, _search_hadamard
+        from confhad.equivalence import _Budget, _search
 
         A, B = butson("H12a"), butson("H12d")
         m = lcm(A.m, B.m)
         budget = _Budget(10**8)
-        assert _search_hadamard(A.lift(m), B.lift(m), budget) is None
+        assert _search(A.lift(m), B.lift(m), budget) is None
         assert 0 < budget.used < 10**5
+
+    def test_conference_search_exhausts_on_inequivalent_pair(self):
+        from confhad.equivalence import _Budget, _search
+
+        budget = _Budget(10**8)
+        assert _search(butson("C6f"), butson("C6g"), budget) is None
+        assert 0 < budget.used < 10**5
+
+    def test_tiny_conference_matrices(self):
+        # the nonzero cells of these fall into several connected parts, each
+        # with its own diagonal gauge
+        diag = ButsonMatrix(2, [[None, 0], [0, None]])
+        flipped = ButsonMatrix(2, [[None, 1], [0, None]])
+        anti = ButsonMatrix(2, [[0, None], [None, 0]])
+        zero = ButsonMatrix(2, [[None]])
+        for a, b in ((diag, flipped), (flipped, diag), (diag, anti), (zero, zero)):
+            verdict = are_equivalent(a, b)
+            assert verdict.equivalent and verdict.witness.maps(a, b)
 
     def test_inputs_stored_above_their_minimal_order(self):
         # regression: witness re-verification must accept non-reduced inputs

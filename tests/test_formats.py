@@ -3,6 +3,7 @@ import pytest
 
 from confhad import catalog
 from confhad.formats import (
+    MAX_BUTSON_ORDER,
     FormatError,
     emit_butson,
     emit_exponent,
@@ -59,6 +60,12 @@ def test_butson_rejects_out_of_range():
         parse_butson("BH 2 2\n0 2\n0 1")
     with pytest.raises(FormatError, match="bad log"):
         parse_butson("BH 2 2\n0 x\n0 1")
+
+
+def test_butson_order_is_bounded():
+    assert parse_butson(f"BH 1 {MAX_BUTSON_ORDER}\n{MAX_BUTSON_ORDER - 1}\n").m == MAX_BUTSON_ORDER
+    with pytest.raises(FormatError, match=f"line 1: order {MAX_BUTSON_ORDER + 1} above"):
+        parse_butson(f"BH 2 {MAX_BUTSON_ORDER + 1}\n0 0\n0 1\n")
 
 
 def test_butson_emitted_catalog_has_no_zeros():

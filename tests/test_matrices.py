@@ -177,12 +177,6 @@ class TestDephase:
         with pytest.raises(ValueError):
             dephase(C2)
 
-    def test_butson_and_complex_agree(self):
-        B = to_butson(double_orthogonal(catalog.build("C6f")))
-        via_exact = dephase(B).to_complex()
-        via_float = dephase(B.to_complex())
-        assert np.max(np.abs(via_exact.array - via_float.array)) < 1e-12
-
 
 class TestExponentEvaluation:
     def test_phase_cell_parsing(self):

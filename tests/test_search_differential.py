@@ -1,0 +1,301 @@
+"""Differential tests: the single anchored search ``_search`` against the two
+searches it replaced.
+
+The oracles below are the former Hadamard search (B dephased about (0, 0), A
+dephased about every cell, rows matched by value counts, columns by a system
+of distinct representatives) and the former conference search (columns
+permuted to put the zeros on the diagonal, one permutation for rows and
+columns, diagonals solved cell by cell with undo lists).  On every pair both
+sides must reach the same status, a zero-free pair must cost the same number
+of nodes, and every witness must map A onto B.
+"""
+
+import random
+from itertools import combinations_with_replacement
+from math import lcm
+
+import pytest
+
+from confhad import catalog
+from confhad.equivalence import (
+    MonomialTransform,
+    _Budget,
+    _OutOfBudget,
+    _row_signature,
+    _sdr,
+    _search,
+    _witness_from_maps,
+)
+from confhad.matrices import ButsonMatrix, bordered_circulant, to_butson
+from confhad.search import bordered_matrix, search_bordered_circulant
+from confhad.symbolic import Monomial
+
+BUDGET = 10**6
+
+
+def old_search_hadamard(A, B, budget):
+    n, m = A.n, A.m
+    la = A.logs
+    b = B.logs
+    lb = [[(row[j] + b[0][0] - row[0] - b[0][j]) % m for j in range(n)] for row in b]
+    b_sigs = [_row_signature(row) for row in lb]
+
+    for r in range(n):
+        for c in range(n):
+            anchor = la[r][c]
+            G = [[(la[u][v] + anchor - la[u][c] - la[r][v]) % m for v in range(n)] for u in range(n)]
+            g_sigs = [_row_signature(row) for row in G]
+            positions = [{} for _ in range(n)]
+            for u in range(n):
+                by_val = {}
+                for v, val in enumerate(G[u]):
+                    by_val.setdefault(val, set()).add(v)
+                positions[u] = {val: frozenset(vs) for val, vs in by_val.items()}
+
+            all_cols = frozenset(range(n))
+            init_cands = [frozenset([c])] + [all_cols - {c}] * (n - 1)
+            used = [False] * n
+            used[r] = True
+            sigma = [r] + [-1] * (n - 1)
+
+            def extend(i, cands):
+                if i == n:
+                    return _sdr(cands)
+                target = b_sigs[i]
+                row_b = lb[i]
+                for u in range(n):
+                    if used[u] or g_sigs[u] != target:
+                        continue
+                    if not budget.spend():
+                        raise _OutOfBudget
+                    new_cands = []
+                    ok = True
+                    pos_u = positions[u]
+                    for j in range(n):
+                        allowed = pos_u.get(row_b[j])
+                        if allowed is None:
+                            ok = False
+                            break
+                        nc = cands[j] & allowed
+                        if not nc:
+                            ok = False
+                            break
+                        new_cands.append(nc)
+                    if not ok:
+                        continue
+                    used[u] = True
+                    sigma[i] = u
+                    tau = extend(i + 1, new_cands)
+                    if tau is not None:
+                        return tau
+                    used[u] = False
+                    sigma[i] = -1
+                return None
+
+            tau = extend(1, init_cands)
+            if tau is not None:
+                witness = _witness_from_maps(A, B, sigma, tau)
+                if witness is not None:
+                    return witness
+    return None
+
+
+def old_zero_columns(M):
+    cols = tuple(row.index(None) if row.count(None) == 1 else -1 for row in M.logs)
+    if sorted(cols) != list(range(M.n)):
+        raise ValueError("zero cells must form a permutation pattern")
+    return cols
+
+
+def old_search_conference(A, B, za, zb, budget):
+    n, m = A.n, A.m
+    la = [[row[c] for c in za] for row in A.logs]
+    lb = [[row[c] for c in zb] for row in B.logs]
+    sigma = [-1] * n
+    used = [False] * n
+    e = [None] * n
+    p = [None] * n
+    state = {"e0": None}
+
+    def undo_all(undo):
+        for kind, idx in reversed(undo):
+            if kind == "e":
+                e[idx] = None
+            elif kind == "p":
+                p[idx] = None
+            else:
+                state["e0"] = None
+
+    def equations(t):
+        undo = []
+
+        def set_e(j, val):
+            if e[j] is None:
+                e[j] = val
+                undo.append(("e", j))
+                return True
+            return e[j] == val
+
+        def set_p(i, val):
+            if p[i] is None:
+                p[i] = val
+                undo.append(("p", i))
+                return True
+            return p[i] == val
+
+        def set_e0(val):
+            if state["e0"] is None:
+                state["e0"] = val
+                undo.append(("e0", None))
+                return True
+            return state["e0"] == val
+
+        if t > 0:
+            if not set_e(t, (lb[0][t] - la[sigma[0]][sigma[t]]) % m):
+                undo_all(undo)
+                return None
+            if not set_p(t, (lb[t][0] - la[sigma[t]][sigma[0]]) % m):
+                undo_all(undo)
+                return None
+        for s in range(1, t):
+            for i, j in ((s, t), (t, s)):
+                if i == j or i == 0 or j == 0:
+                    continue
+                delta = (lb[i][j] - la[sigma[i]][sigma[j]]) % m
+                if not set_e0((p[i] + e[j] - delta) % m):
+                    undo_all(undo)
+                    return None
+        return undo
+
+    def extend(t):
+        if t == n:
+            return True
+        for u in range(n):
+            if used[u]:
+                continue
+            if not budget.spend():
+                raise _OutOfBudget
+            sigma[t] = u
+            used[u] = True
+            undo = equations(t)
+            if undo is not None:
+                if extend(t + 1):
+                    return True
+                undo_all(undo)
+            used[u] = False
+            sigma[t] = -1
+        return False
+
+    if extend(0):
+        tau = [0] * n
+        for j in range(n):
+            tau[zb[j]] = za[sigma[j]]
+        return _witness_from_maps(A, B, sigma, tau)
+    return None
+
+
+def old_search(A, B, budget):
+    if A.has_zero():
+        return old_search_conference(A, B, old_zero_columns(A), old_zero_columns(B), budget)
+    return old_search_hadamard(A, B, budget)
+
+
+def run(search, A, B):
+    budget = _Budget(BUDGET)
+    try:
+        witness = search(A, B, budget)
+    except _OutOfBudget:
+        return "unknown", None, budget.used
+    return ("inequivalent" if witness is None else "equivalent"), witness, budget.used
+
+
+def assert_searches_agree(a, b):
+    m = lcm(a.m, b.m)
+    A, B = a.lift(m), b.lift(m)
+    new_status, new_witness, new_nodes = run(_search, A, B)
+    old_status, old_witness, old_nodes = run(old_search, A, B)
+    assert new_status == old_status
+    if not A.has_zero():
+        assert new_nodes == old_nodes
+    for witness in (new_witness, old_witness):
+        if witness is not None:
+            assert witness.maps(A, B)
+    return new_status
+
+
+def butson(name):
+    return to_butson(catalog.build_verified(name))
+
+
+def image(M, rng):
+    """A seeded monomial image over 1-3x the root order, with independent row
+    and column permutations (which move a zero diagonal off the diagonal)."""
+    big = M.m * rng.choice((1, 2, 3))
+    n = M.n
+    t = MonomialTransform(
+        big,
+        tuple(rng.sample(range(n), n)),
+        tuple(rng.sample(range(n), n)),
+        tuple(rng.randrange(big) for _ in range(n)),
+        tuple(rng.randrange(big) for _ in range(n)),
+    )
+    return t.apply(M.lift(big))
+
+
+def paley_core(q):
+    squares = {k * k % q for k in range(1, q)}
+    return to_butson(bordered_circulant([None] + [Monomial(0 if k in squares else 2) for k in range(1, q)]))
+
+
+@pytest.mark.parametrize("kind", ["H12", "C6"])
+def test_catalog_pairs_past_the_fingerprint(kind):
+    statuses = set()
+    for x, y in combinations_with_replacement("abcdefg", 2):
+        statuses.add(assert_searches_agree(butson(kind + x), butson(kind + y)))
+    assert statuses == {"equivalent", "inequivalent"}
+
+
+def test_seeded_monomial_images():
+    rng = random.Random(2903)
+    for kind in ("H12", "C6"):
+        for x in "abcdefg":
+            M = butson(kind + x)
+            for _ in range(2):
+                assert assert_searches_agree(M, image(M, rng)) == "equivalent"
+
+
+def test_row_swapped_paley_cores():
+    rng = random.Random(5)
+    for q in (5, 13):
+        C = paley_core(q)
+        for _ in range(3):
+            rows = list(range(C.n))
+            i, j = rng.sample(rows, 2)
+            rows[i], rows[j] = j, i
+            swapped = ButsonMatrix(C.m, [C.logs[r] for r in rows])
+            assert assert_searches_agree(C, swapped) == "equivalent"
+            assert assert_searches_agree(swapped, C) == "equivalent"
+
+
+def random_matrix(n, m, zeros, rng):
+    """Random logs, with zeros in a random permutation pattern if asked."""
+    perm = rng.sample(range(n), n)
+    return ButsonMatrix(m, [[None if zeros and j == perm[i] else rng.randrange(m) for j in range(n)] for i in range(n)])
+
+
+def test_random_small_matrices():
+    # arbitrary values: dephased columns can coincide except at the sentinel
+    rng = random.Random(71)
+    statuses = set()
+    for _ in range(150):
+        n, m, zeros = rng.randint(1, 6), rng.randint(1, 4), rng.random() < 0.7
+        A = random_matrix(n, m, zeros, rng)
+        assert assert_searches_agree(A, image(A, rng)) == "equivalent"
+        statuses.add(assert_searches_agree(A, random_matrix(n, m, zeros, rng)))
+    assert statuses == {"equivalent", "inequivalent"}
+
+
+def test_bordered_solutions():
+    solutions = [bordered_matrix(row, 4) for row in search_bordered_circulant(6, 4)]
+    statuses = [assert_searches_agree(a, b) for a in solutions for b in solutions]
+    assert {"equivalent", "inequivalent"} == set(statuses)
