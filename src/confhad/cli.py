@@ -96,9 +96,12 @@ def _parse_phases(text: Optional[str], symbols: Sequence[str]) -> dict[str, floa
             f"expected {len(syms)} phase values for symbols {','.join(syms)}, got {len(parts)}"
         )
     try:
-        return {s: float(p) for s, p in zip(syms, parts)}
+        phases = {s: float(p) for s, p in zip(syms, parts)}
     except ValueError:
         raise _UsageError(f"bad phase list {text!r}") from None
+    if not all(map(math.isfinite, phases.values())):
+        raise _UsageError(f"phase values must be finite, got {text!r}")
+    return phases
 
 
 def _exact_matrix(target: str, verified: bool = True) -> ButsonMatrix:
@@ -188,6 +191,8 @@ def _cmd_verify(args) -> int:
             phases = _parse_phases(args.phases, symbols)
         matrix: AnyMatrix = catalog.family_matrix(target, phases, use_verified=args.verified)
     else:
+        if args.phases is not None:
+            raise _UsageError("--phases applies to family (D12*) entries only")
         matrix = _load_target(target, args.verified)
         if args.numeric and isinstance(matrix, SymbolicMatrix):
             # unimodular values keep the Hadamard target meaningful
@@ -229,9 +234,13 @@ def _cmd_search(args) -> int:
     if args.n < 2 or args.roots < 1:
         raise _UsageError("need --n >= 2 and --roots >= 1")
     if args.bordered:
-        rows = search_mod.search_bordered_circulant(args.n, args.roots)
+        search = search_mod.search_bordered_circulant
     else:
-        rows = search_mod.search_circulant(args.n, args.roots)
+        search = search_mod.search_circulant
+    try:
+        rows = search(args.n, args.roots)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     if args.reduce:
         rows = search_mod.symmetry_reduce(rows, args.roots)
     for row in rows:

@@ -11,8 +11,6 @@ identity up to whitespace and parse(emit(M)) == M structurally.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .matrices import (
     AnyMatrix,
     ButsonMatrix,
@@ -109,27 +107,17 @@ def emit_exponent(matrix: ExponentMatrix) -> str:
 
 
 def parse_butson(text: str, label: str | None = None) -> ButsonMatrix:
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("empty input")
-    header = lines[0].split()
-    if not header or header[0] != "BH" or len(header) != 3:
-        raise FormatError(f"expected 'BH n m' header, got {lines[0]!r}", 1)
+    n, header, rows = _split_rows(text, "BH", extra_header=1)
     try:
-        n, m = int(header[1]), int(header[2])
+        m = int(header[2])
     except ValueError:
-        raise FormatError(f"bad BH header {lines[0]!r}", 1) from None
-    if n <= 0 or m <= 0:
-        raise FormatError("dimension and order must be positive", 1)
+        raise FormatError(f"bad root order {header[2]!r}", 1) from None
+    if m <= 0:
+        raise FormatError(f"bad root order {m}", 1)
     if m > MAX_BUTSON_ORDER:
         raise FormatError(f"order {m} above {MAX_BUTSON_ORDER}", 1)
     grid = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        cells = raw.split()
-        if len(cells) != n:
-            raise FormatError(f"row has {len(cells)} cells, expected {n}", lineno)
+    for lineno, cells in rows:
         row = []
         for c in cells:
             if c == "z":
@@ -143,8 +131,6 @@ def parse_butson(text: str, label: str | None = None) -> ButsonMatrix:
                 raise FormatError(f"log {k} outside [0, {m})", lineno)
             row.append(k)
         grid.append(row)
-    if len(grid) != n:
-        raise FormatError(f"found {len(grid)} rows, expected {n}")
     return ButsonMatrix(m, grid, label)
 
 
@@ -171,18 +157,14 @@ def parse_numeric(text: str, label: str | None = None) -> ComplexMatrix:
             except ValueError:
                 raise FormatError(f"bad complex pair {c!r}", lineno) from None
         grid.append(row)
-    return ComplexMatrix(np.array(grid, dtype=complex), label)
+    return ComplexMatrix(grid, label)
 
 
 def emit_numeric(matrix: ComplexMatrix) -> str:
-    rows = []
-    for i in range(matrix.n):
-        rows.append(
-            " ".join(
-                f"{z.real!r},{z.imag!r}" for z in (complex(v) for v in matrix.array[i])
-            )
-        )
-    return f"NUM {matrix.n}\n" + "\n".join(rows) + "\n"
+    body = "\n".join(
+        " ".join(f"{z.real!r},{z.imag!r}" for z in row) for row in matrix.rows
+    )
+    return f"NUM {matrix.n}\n{body}\n"
 
 
 def parse_matrix(text: str, label: str | None = None) -> AnyMatrix:

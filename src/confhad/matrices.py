@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
 from .cyclotomic import minimal_root_order
 from .symbolic import Entry, Monomial, ONE, entry_str, parse_entry
 
@@ -286,11 +284,10 @@ class ButsonMatrix:
 
     def to_complex(self) -> "ComplexMatrix":
         z = cmath.exp(2j * cmath.pi / self.m)
-        arr = np.array(
-            [[0 if c is None else z**c for c in row] for row in self.logs],
-            dtype=complex,
+        return ComplexMatrix(
+            [[0j if c is None else z**c for c in row] for row in self.logs],
+            self.label,
         )
-        return ComplexMatrix(arr, self.label)
 
     def __repr__(self) -> str:
         tag = f" {self.label}" if self.label else ""
@@ -298,36 +295,33 @@ class ButsonMatrix:
 
 
 class ComplexMatrix:
-    """Floating-point complex matrix (thin wrapper over an ndarray)."""
+    """Square grid of floating-point complex cells."""
 
-    __slots__ = ("array", "label")
+    __slots__ = ("n", "rows", "label")
 
-    def __init__(self, array: np.ndarray | Sequence[Sequence[complex]], label: str | None = None) -> None:
-        arr = np.array(array, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+    def __init__(self, rows: Iterable[Iterable[complex]], label: str | None = None) -> None:
+        grid = tuple(tuple(complex(c) for c in row) for row in rows)
+        n = len(grid)
+        if n == 0 or any(len(row) != n for row in grid):
             raise ValueError("matrix must be square and nonempty")
-        arr.flags.writeable = False  # instances are shared and cached
-        self.array = arr
+        self.n = n
+        self.rows = grid
         self.label = label
 
-    @property
-    def n(self) -> int:
-        return self.array.shape[0]
+    def __getitem__(self, i: int) -> tuple[complex, ...]:
+        return self.rows[i]
 
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.array[i]
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ComplexMatrix) and self.rows == other.rows
 
-    def allclose(self, other: "ComplexMatrix", tol: float = 1e-12) -> bool:
-        return self.n == other.n and bool(
-            np.max(np.abs(self.array - other.array)) <= tol
-        )
+    def __hash__(self) -> int:
+        return hash(self.rows)
 
     def __repr__(self) -> str:
         tag = f" {self.label}" if self.label else ""
         return f"<ComplexMatrix{tag} {self.n}x{self.n}>"
 
 
-NumericMatrix = Union[ButsonMatrix, ComplexMatrix]
 AnyMatrix = Union[SymbolicMatrix, ExponentMatrix, ButsonMatrix, ComplexMatrix]
 
 
@@ -483,16 +477,18 @@ def eval_exponent_form(
         raise ValueError("dimension mismatch")
     if not base.is_constant:
         raise ValueError("base matrix must be constant")
-    arr = np.empty((base.n, base.n), dtype=complex)
-    for i in range(base.n):
-        for j in range(base.n):
-            cell = base.rows[i][j]
-            if cell is None:
-                arr[i, j] = 0
-                continue
-            unit = 1j**cell.ipow
-            arr[i, j] = unit * cmath.exp(1j * exponents.phase(i, j, phases))
-    return ComplexMatrix(arr, label)
+    return ComplexMatrix(
+        [
+            [
+                0j
+                if cell is None
+                else 1j**cell.ipow * cmath.exp(1j * exponents.phase(i, j, phases))
+                for j, cell in enumerate(row)
+            ]
+            for i, row in enumerate(base.rows)
+        ],
+        label,
+    )
 
 
 def to_butson(matrix: SymbolicMatrix, label: str | None = None) -> ButsonMatrix:
@@ -535,11 +531,10 @@ def eval_complex(
     assignment: Mapping[str, complex],
     label: str | None = None,
 ) -> ComplexMatrix:
-    arr = np.array(
+    return ComplexMatrix(
         [
-            [0 if cell is None else cell.eval_complex(assignment) for cell in row]
+            [0j if cell is None else cell.eval_complex(assignment) for cell in row]
             for row in matrix.rows
         ],
-        dtype=complex,
+        label or matrix.label,
     )
-    return ComplexMatrix(arr, label or matrix.label)

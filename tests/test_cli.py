@@ -35,7 +35,7 @@ def test_build_family_at_zero_phases(capsys):
     assert code == 0
     M = parse_numeric(out)
     base = catalog.family_matrix("D12a", {})
-    assert np.array_equal(M.array, base.array)
+    assert np.array_equal(np.array(M.rows), np.array(base.rows))
 
 
 def test_derive_output_parses(capsys):
@@ -165,6 +165,8 @@ def test_usage_errors(capsys):
     assert run(capsys, "verify", "/no/such/file")[0] == 64
     code, _, err = run(capsys, "verify", "R12_6")
     assert code == 64 and "family" in err  # exponent patterns verify via D12*
+    code, out, err = run(capsys, "verify", "H12a", "--phases", "1,2")
+    assert (code, out) == (64, "") and "--phases" in err  # family entries only, as in build
     with pytest.raises(SystemExit) as exc:
         main(["search", "--n", "6"])  # missing --roots
     assert exc.value.code == 64
@@ -184,6 +186,19 @@ def test_usage_errors(capsys):
         assert exc.value.code == 64
         captured = capsys.readouterr()
         assert captured.out == "" and "--tol" in captured.err
+
+
+def test_non_finite_phases_are_usage_errors(capsys):
+    for value in ("nan", "inf", "-inf"):
+        for command in ("build", "verify"):
+            code, out, err = run(capsys, command, "D12a", "--phases", f"0,{value},0,0,0,0")
+            assert (code, out) == (64, "") and "finite" in err
+
+
+def test_search_above_the_cap_is_a_usage_error(capsys):
+    for bordered in ([], ["--bordered"]):
+        code, out, err = run(capsys, "search", "--n", "1000000000", "--roots", "4", *bordered)
+        assert (code, out) == (64, "") and "cap" in err
 
 
 def test_bh_order_above_the_cap_is_a_usage_error(capsys, tmp_path):

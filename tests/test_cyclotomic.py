@@ -56,7 +56,7 @@ def test_lift_preserves_value():
     z = ButsonMatrix(3, [[1]])
     lifted = z.lift(12)
     assert lifted == ButsonMatrix(12, [[4]])
-    assert abs(lifted.to_complex().array[0, 0] - z.to_complex().array[0, 0]) < 1e-12
+    assert abs(lifted.to_complex().rows[0][0] - z.to_complex().rows[0][0]) < 1e-12
     with pytest.raises(ValueError):
         z.lift(8)
 

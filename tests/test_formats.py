@@ -46,7 +46,7 @@ def test_symbolic_missing_rows():
 
 def test_butson_tiny():
     M = parse_butson("BH 2 2\n0 0\n0 1")
-    arr = M.to_complex().array
+    arr = np.array(M.to_complex().rows)
     assert np.allclose(arr, [[1, 1], [1, -1]])
 
 
@@ -82,7 +82,18 @@ def test_numeric_round_trip_exact_bits():
     arr = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     M = ComplexMatrix(arr)
     back = parse_numeric(emit_numeric(M))
-    assert np.array_equal(back.array, M.array)  # repr round-trips floats exactly
+    assert np.array_equal(np.array(back.rows), np.array(M.rows))  # repr round-trips floats exactly
+
+
+def test_numeric_round_trip_is_equal():
+    phases = {s: 0.5 * k - 1.3 for k, s in enumerate("abcdefg")}
+    for M in (
+        catalog.family_matrix("D12h", phases),
+        to_butson(catalog.build_verified("H12c")).to_complex(),
+        ComplexMatrix([[-0.0, complex(1e-300, -2.5)], [float("inf"), 3j]]),
+    ):
+        assert parse_numeric(emit_numeric(M)) == M
+    assert ComplexMatrix([[1]]) != ComplexMatrix([[1 + 1e-16j]])
 
 
 def test_numeric_rejects_malformed():

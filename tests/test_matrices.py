@@ -191,7 +191,7 @@ class TestExponentEvaluation:
         R = catalog.build_verified("R12_6")
         M = eval_exponent_form(H, R, {s: 0.0 for s in "abcdef"})
         base = to_butson(H).to_complex()
-        assert np.max(np.abs(M.array - base.array)) < 1e-15
+        assert np.max(np.abs(np.array(M.rows) - np.array(base.rows))) < 1e-15
 
     def test_random_phases_stay_hadamard(self):
         rng = random.Random(5)
@@ -210,7 +210,7 @@ class TestExponentEvaluation:
         with_g = dict(phases, g=0.0)
         lhs = eval_exponent_form(H, R7, with_g)
         rhs = eval_exponent_form(H, R6, phases)
-        assert np.max(np.abs(lhs.array - rhs.array)) < 1e-12
+        assert np.max(np.abs(np.array(lhs.rows) - np.array(rhs.rows))) < 1e-12
 
     def test_dimension_and_symbol_errors(self):
         H = catalog.build_verified("H12a")
@@ -240,7 +240,7 @@ class TestEvaluation:
         exact = eval_exact(M, logs, order=12).to_complex()
         assignment = {s: cmath.exp(2j * cmath.pi * k / 12) for s, k in logs.items()}
         floats = eval_complex(M, assignment)
-        assert np.max(np.abs(exact.array - floats.array)) < 1e-12
+        assert np.max(np.abs(np.array(exact.rows) - np.array(floats.rows))) < 1e-12
 
 
 class TestContainers:

@@ -1,10 +1,13 @@
 import random
 
 import numpy as np
+import pytest
 
 from confhad.matrices import to_butson
 from confhad import catalog
+from confhad import search as search_mod
 from confhad.search import (
+    MAX_CANDIDATES,
     bordered_matrix,
     circulant_matrix,
     search_bordered_circulant,
@@ -67,7 +70,7 @@ def test_determinism_and_exhaustive_soundness():
             continue
         M = bordered_matrix(row, 4)
         assert not check_conference(M)
-        arr = M.to_complex().array
+        arr = np.array(M.to_complex().rows)
         gram = arr @ arr.conj().T
         assert np.max(np.abs(gram - 5 * np.eye(6))) > 1e-9
         rejected_checked += 1
@@ -136,3 +139,17 @@ def test_solution_classes_under_matrix_equivalence():
             assert (x is None) == (y is None)
             if x is not None:
                 assert (x + w.row_logs[i] + w.col_logs[j] - y) % 4 == 0
+
+
+def test_candidate_space_is_capped(monkeypatch):
+    assert MAX_CANDIDATES == 10**6
+    for search in (search_circulant, search_bordered_circulant):
+        for m in (4, 1):  # order 1 has one candidate, but an n-by-n one
+            with pytest.raises(ValueError, match="cap"):
+                search(10**9, m)
+    monkeypatch.setattr(search_mod, "MAX_CANDIDATES", 4**4)
+    assert len(search_bordered_circulant(6, 4)) == 12  # exactly at the cap
+    search_circulant(5, 4)
+    for search, n in ((search_circulant, 6), (search_bordered_circulant, 7)):
+        with pytest.raises(ValueError, match="cap"):
+            search(n, 4)
