@@ -8,13 +8,15 @@ witness or exhausts the space.  Diagonals range over the matrices' own root
 order, so "inequivalent by exhausted search" is relative to that notion.
 
 One search serves Hadamard and conference inputs.  It dephases B about one
-cell and A about every cell in turn, which removes the diagonals, and then
-matches rows.  A quadruple that touches a zero cell has no value; it gets the
-sentinel ``_ZERO``, and the cells it hides are checked by the witness at the
-leaf, where a failure backtracks.  Zero cells must form a permutation pattern
-(one per row and per column, such as the zero diagonal).  That makes the
-columns of each dephased matrix pairwise distinct by their sentinel cells
-alone, so once the rows are matched the column map is forced.
+cell and A about every cell in turn, which removes the diagonals, skips every
+anchor whose dephased matrix has other sorted row or column signatures than
+B's (no witness passes through it), and then matches rows.  A quadruple
+that touches a zero cell has no value; it gets the sentinel ``_ZERO``, and
+the cells it hides are checked by the witness at the leaf, where a failure
+backtracks.  Zero cells must form a permutation pattern (one per row and per
+column, such as the zero diagonal).  That makes the columns of each dephased
+matrix pairwise distinct by their sentinel cells alone, so once the rows are
+matched the column map is forced.
 """
 
 from __future__ import annotations
@@ -166,8 +168,8 @@ class _OutOfBudget(Exception):
     pass
 
 
-def _row_signature(row: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(Counter(row).items()))
+def _row_signature(row: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sorted(row))
 
 
 def _sdr(cands: list[frozenset[int]]) -> Optional[list[int]]:
@@ -260,19 +262,27 @@ def _check_zero_pattern(M: ButsonMatrix) -> None:
         raise ValueError("zero cells must form a permutation pattern")
 
 
+def _col_shape(M: list[list[int]]) -> list[tuple[int, ...]]:
+    return sorted(_row_signature(col) for col in zip(*M))
+
+
 def _search(A: ButsonMatrix, B: ButsonMatrix, budget: _Budget) -> Optional[MonomialTransform]:
     """Map B's row 0 onto each row r of A and its column b0 onto each column c.
 
-    B is dephased about (0, b0) and A about (r, c); rows are then assigned in
-    order among A's rows with the same value counts, each narrowing the columns
-    every column of B may map to.  Values that touch a zero are checked only by
-    the witness at the leaf.
+    B is dephased about (0, b0) and A about (r, c).  A witness through that
+    anchor carries one dephased matrix onto the other by a row and a column
+    permutation, sentinels included, so an anchor whose sorted row or column
+    signatures differ from B's is skipped before it costs a node.  Otherwise
+    rows are assigned in order among A's rows with the same value counts,
+    each narrowing the columns every column of B may map to.  Values that
+    touch a zero are checked only by the witness at the leaf.
     """
     n = A.n
     la, b_row0 = A.logs, B.logs[0]
     b0 = next((j for j, x in enumerate(b_row0) if x is not None), 0)
     lb = _dephased(B, 0, b0)
     b_sigs = [_row_signature(row) for row in lb]
+    b_rows, b_cols = sorted(b_sigs), _col_shape(lb)
     all_cols = frozenset(range(n))
 
     for r in range(n):
@@ -282,6 +292,11 @@ def _search(A: ButsonMatrix, B: ButsonMatrix, budget: _Budget) -> Optional[Monom
                 continue
             G = _dephased(A, r, c)
             g_sigs = [_row_signature(row) for row in G]
+            if sorted(g_sigs) != b_rows or _col_shape(G) != b_cols:
+                continue
+            rows_with: dict[tuple[int, ...], list[int]] = {}  # signature -> G-rows
+            for u, sig in enumerate(g_sigs):
+                rows_with.setdefault(sig, []).append(u)
             positions = []  # per G-row: value -> frozenset of columns
             for row in G:
                 by_val: dict[int, set[int]] = {}
@@ -299,10 +314,9 @@ def _search(A: ButsonMatrix, B: ButsonMatrix, budget: _Budget) -> Optional[Monom
                 if i == n:
                     tau = _sdr(cands)
                     return None if tau is None else _witness_from_maps(A, B, sigma, tau)
-                target = b_sigs[i]
                 row_b = lb[i]
-                for u in range(n):
-                    if used[u] or g_sigs[u] != target:
+                for u in rows_with[b_sigs[i]]:  # present: the shapes matched
+                    if used[u]:
                         continue
                     if not budget.spend():
                         raise _OutOfBudget
@@ -343,22 +357,30 @@ def are_equivalent(
     """
     if a.n != b.n:
         raise ValueError("dimension mismatch")
+    zeros = len(a.zero_positions())
+    if zeros != len(b.zero_positions()):
+        return EquivalenceVerdict("inequivalent", None, "zero cell counts differ", 0)
+    if zeros:
+        _check_zero_pattern(a)
+        _check_zero_pattern(b)
+        fa, fb = conference_fingerprint(a), conference_fingerprint(b)
+    else:
+        fa, fb = fingerprint(a), fingerprint(b)
+    if fa != fb:
+        return EquivalenceVerdict("inequivalent", None, "fingerprint mismatch", 0)
+    return _search_verdict(a, b, budget)
+
+
+def _search_verdict(a: ButsonMatrix, b: ButsonMatrix, budget: int) -> EquivalenceVerdict:
+    """Decide a against b (same size) by search alone.
+
+    Zero cells, if any, must form permutation patterns.  No invariant is
+    consulted, so the verdict is "equivalent" with a witness verified on a
+    and b, "inequivalent" by exhausted search, or "unknown".
+    """
     a0, b0 = a.reduce_order(), b.reduce_order()
     m = lcm(a0.m, b0.m)
     A, B = a0.lift(m), b0.lift(m)
-
-    zeros = len(A.zero_positions())
-    if zeros != len(B.zero_positions()):
-        return EquivalenceVerdict("inequivalent", None, "zero cell counts differ", 0)
-    if zeros:
-        _check_zero_pattern(A)
-        _check_zero_pattern(B)
-        fa, fb = conference_fingerprint(A), conference_fingerprint(B)
-    else:
-        fa, fb = fingerprint(A), fingerprint(B)
-    if fa != fb:
-        return EquivalenceVerdict("inequivalent", None, "fingerprint mismatch", 0)
-
     tracker = _Budget(budget)
     try:
         witness = _search(A, B, tracker)
@@ -391,8 +413,9 @@ def specialize_and_classify(
     """Evaluate at unit assignments, keep exact Hadamard results, classify.
 
     Assignments give root-of-unity logs base zeta_order per symbol.  Matrices
-    are bucketed by fingerprint, then refined by the equivalence search; an
-    exhausted budget opens a fresh class flagged ``undecided``.
+    are bucketed by fingerprint, each computed once, then refined by the
+    equivalence search; an exhausted budget opens a fresh class flagged
+    ``undecided``.
     """
     result = check_inverse_orthogonal(matrix)
     if not result:
@@ -409,7 +432,7 @@ def specialize_and_classify(
         for cls, cls_fp in zip(classes, fingerprints):
             if cls_fp != fp:
                 continue
-            verdict = are_equivalent(M, cls.representative, budget)
+            verdict = _search_verdict(M, cls.representative, budget)
             if verdict.equivalent:
                 cls.assignments.append(dict(asg))
                 placed = True

@@ -6,7 +6,8 @@ BH n m -- Butson log form: integer k for zeta_m^k, `z` for a zero cell
 NUM n  -- complex floats as `re,im` pairs, 17 significant digits
 
 Parsing is whitespace-insensitive inside rows; emit(parse(text)) is the
-identity up to whitespace and parse(emit(M)) == M structurally.
+identity up to whitespace.  parse(emit(M)) == M structurally unless a NUM
+cell is NaN, which equals nothing; emit(parse(emit(M))) == emit(M) for all M.
 """
 
 from __future__ import annotations

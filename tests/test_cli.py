@@ -86,6 +86,22 @@ def test_verify_file_target(capsys, tmp_path):
         assert (code, out) == (1, witness + "\n")
 
 
+def test_long_butson_witness_is_cut(capsys, tmp_path):
+    # a failing root sum over zeta_m prints 16 of its m counts, then the rest's number
+    for text, head, rest in (
+        ("BH 2 1024\n0 0\n0 1\n", "[1" + ", 0" * 15 + "]", 1008),
+        ("BH 3 40\nz 0 0\n0 z 1\n0 5 z\n", "[0" + ", 0" * 15 + "]", 24),
+        ("BH 2 17\n0 0\n0 1\n", "[1" + ", 0" * 15 + "]", 1),
+    ):
+        bad = tmp_path / "long.bh"
+        bad.write_text(text)
+        code, out, _ = run(capsys, "verify", str(bad))
+        assert (code, out) == (1, f"fail at (0,1): {head} (+{rest} more) [off-diagonal root sum != 0]\n")
+    bad.write_text("BH 2 16\n0 0\n0 1\n")
+    code, out, _ = run(capsys, "verify", str(bad))
+    assert (code, out) == (1, "fail at (0,1): [1" + ", 0" * 14 + ", 1] [off-diagonal root sum != 0]\n")
+
+
 def test_equiv_exit_codes(capsys):
     code, out, _ = run(capsys, "equiv", "H12a", "H12c")
     assert code == 0 and out.startswith("equivalent")

@@ -11,7 +11,7 @@ from confhad.equivalence import (
     fingerprint,
     specialize_and_classify,
 )
-from confhad.matrices import ButsonMatrix, double_orthogonal, to_butson
+from confhad.matrices import ButsonMatrix, double_orthogonal, eval_exact, to_butson
 from confhad.verify import check_hadamard
 
 
@@ -34,6 +34,15 @@ H4 = ButsonMatrix(2, [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0]])
 
 def butson(name):
     return to_butson(catalog.build_verified(name))
+
+
+def o12d_twin_points():
+    """Two inequivalent order-4 points of O12d with equal fingerprints."""
+    M = catalog.build_verified("O12d")
+    return (
+        eval_exact(M, {"a": 0, "b": 3, "c": 0, "d": 1, "e": 0, "f": 1}, 4),
+        eval_exact(M, {"a": 3, "b": 3, "c": 2, "d": 3, "e": 0, "f": 3}, 4),
+    )
 
 
 class TestFingerprint:
@@ -177,7 +186,7 @@ class TestAreEquivalent:
         assert verdict.nodes > 0
 
     def test_hadamard_search_exhausts_on_inequivalent_pair(self):
-        # completeness probe for the dephased-anchor search itself
+        # no anchor of H12a dephases to H12d's row and column shape
         from math import lcm
 
         from confhad.equivalence import _Budget, _search
@@ -186,7 +195,21 @@ class TestAreEquivalent:
         m = lcm(A.m, B.m)
         budget = _Budget(10**8)
         assert _search(A.lift(m), B.lift(m), budget) is None
+        assert budget.used == 0
+
+    def test_hadamard_search_exhausts_on_same_fingerprint_pair(self):
+        # completeness probe for the dephased-anchor search itself: two
+        # inequivalent order-4 points of O12d that the fingerprint cannot part
+        from confhad.equivalence import _Budget, _search
+
+        A, B = o12d_twin_points()
+        assert fingerprint(A) == fingerprint(B)
+        budget = _Budget(10**8)
+        assert _search(A, B, budget) is None
         assert 0 < budget.used < 10**5
+        verdict = are_equivalent(A, B)
+        assert verdict.inequivalent and verdict.reason == "exhausted search"
+        assert verdict.nodes == budget.used
 
     def test_conference_search_exhausts_on_inequivalent_pair(self):
         from confhad.equivalence import _Budget, _search
@@ -239,7 +262,57 @@ class TestAreEquivalent:
                 assert verdict.status != "unknown"
 
 
+class TestSearchVerdict:
+    """The search step ``specialize_and_classify`` calls once its own
+    fingerprints match: it never decides by an invariant."""
+
+    def test_never_answers_by_fingerprint(self):
+        from confhad.equivalence import _search_verdict
+
+        rng = random.Random(59)
+        pairs = [(butson(f"H12{x}"), butson(f"H12{y}")) for x in "adf" for y in "abcdefg"]
+        M = butson("H12d")
+        pairs.append((M, random_transform(M.n, M.m, rng).apply(M)))
+        pairs.append(o12d_twin_points())
+        reasons = set()
+        for a, b in pairs:
+            verdict = _search_verdict(a, b, 10**8)
+            reasons.add(verdict.reason)
+            if verdict.equivalent:
+                assert verdict.reason == "witness found" and verdict.witness.maps(a, b)
+            else:
+                assert verdict.inequivalent and verdict.reason == "exhausted search"
+            assert verdict.status == are_equivalent(a, b).status
+        assert reasons == {"witness found", "exhausted search"}
+        assert fingerprint(butson("H12a")) != fingerprint(butson("H12d"))  # a pair above
+
+    def test_spent_budget_is_unknown(self):
+        from confhad.equivalence import _search_verdict
+
+        a, b = o12d_twin_points()
+        verdict = _search_verdict(a, b, 3)
+        assert verdict.status == "unknown" and verdict.nodes == 3
+
+
 class TestSpecializeAndClassify:
+    def test_partition_matches_pairwise_are_equivalent(self):
+        rng = random.Random(4242)
+        for name in ("O12a", "O12d", "O12h"):
+            M = catalog.build_verified(name)
+            syms = sorted(M.symbols())
+            points = [{s: rng.randrange(4) for s in syms} for _ in range(14)]
+            points = [p for p in points if check_hadamard(eval_exact(M, p, 4))]
+            classes = specialize_and_classify(M, points, order=4)
+            key = lambda p: tuple(sorted(p.items()))
+            label = {key(p): k for k, cls in enumerate(classes) for p in cls.assignments}
+            assert not any(cls.undecided for cls in classes)
+            assert sorted(label) == sorted(set(map(key, points)))
+            for i, p in enumerate(points):
+                for q in points[i + 1 :]:
+                    verdict = are_equivalent(eval_exact(M, p, 4), eval_exact(M, q, 4))
+                    assert verdict.status != "unknown"
+                    assert verdict.equivalent == (label[key(p)] == label[key(q)]), (name, p, q)
+
     def test_sign_specializations_of_printed_family(self):
         M = catalog.build_verified("O12a")
         syms = sorted(M.symbols())

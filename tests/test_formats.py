@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,25 @@ def test_numeric_round_trip_is_equal():
     ):
         assert parse_numeric(emit_numeric(M)) == M
     assert ComplexMatrix([[1]]) != ComplexMatrix([[1 + 1e-16j]])
+
+
+def test_numeric_round_trip_is_equal_on_finite_cells():
+    rng = random.Random(8)
+    specials = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1)
+    for n in (1, 2, 5):
+        cells = specials + tuple(rng.uniform(-1e3, 1e3) for _ in range(2 * n * n))
+        M = ComplexMatrix([[complex(rng.choice(cells), rng.choice(cells)) for _ in range(n)] for _ in range(n)])
+        assert parse_numeric(emit_numeric(M)) == M
+
+
+def test_numeric_emit_is_fixed_by_the_round_trip():
+    # nan != nan, so a NaN cell never parses back equal; its text does
+    nan, inf = float("nan"), float("inf")
+    M = ComplexMatrix([[complex(nan, 0), complex(-nan, inf)], [complex(1, nan), complex(-inf, -0.0)]])
+    text = emit_numeric(M)
+    assert emit_numeric(parse_numeric(text)) == text
+    assert parse_numeric(text) != M
+    assert emit_matrix(parse_matrix(text)) == text
 
 
 def test_numeric_rejects_malformed():

@@ -1,16 +1,21 @@
-"""Differential tests: the single anchored search ``_search`` against the two
-searches it replaced.
+"""Differential tests: the anchored search ``_search`` against the searches
+it replaced.
 
 The oracles below are the former Hadamard search (B dephased about (0, 0), A
 dephased about every cell, rows matched by value counts, columns by a system
-of distinct representatives) and the former conference search (columns
+of distinct representatives), the former conference search (columns
 permuted to put the zeros on the diagonal, one permutation for rows and
-columns, diagonals solved cell by cell with undo lists).  On every pair both
-sides must reach the same status, a zero-free pair must cost the same number
-of nodes, and every witness must map A onto B.
+columns, diagonals solved cell by cell with undo lists), and the anchored
+search as it was before anchors were rejected by shape.  On every pair all
+sides must reach the same status and every witness must map A onto B.  A
+zero-free pair may cost no more nodes than the former Hadamard search; every
+pair must give the anchored oracle's witness at no more nodes, and exactly
+its node count once that oracle skips the same anchors by an independently
+written shape test.
 """
 
 import random
+from collections import Counter
 from itertools import combinations_with_replacement
 from math import lcm
 
@@ -200,6 +205,117 @@ def old_search(A, B, budget):
     return old_search_hadamard(A, B, budget)
 
 
+_ZERO = -1
+
+
+def parent_dephased(M, r, c):
+    m, la = M.m, M.logs
+    head, anchor = la[r], la[r][c]
+    out = []
+    for row in la:
+        x = row[c]
+        if x is None or anchor is None:
+            out.append([_ZERO] * len(row))
+            continue
+        shift = anchor - x
+        out.append([_ZERO if a is None or b is None else (a + shift - b) % m for a, b in zip(row, head)])
+    return out
+
+
+def parent_signature(row):
+    return tuple(sorted(Counter(row).items()))
+
+
+def parent_search(A, B, budget, keep_anchor=lambda G, lb: True):
+    """The anchored search before the shape test; ``keep_anchor`` may skip
+    anchors before they cost a node."""
+    n = A.n
+    la, b_row0 = A.logs, B.logs[0]
+    b0 = next((j for j, x in enumerate(b_row0) if x is not None), 0)
+    lb = parent_dephased(B, 0, b0)
+    b_sigs = [parent_signature(row) for row in lb]
+    all_cols = frozenset(range(n))
+
+    for r in range(n):
+        for c in range(n):
+            if (la[r][c] is None) != (b_row0[b0] is None):
+                continue
+            G = parent_dephased(A, r, c)
+            if not keep_anchor(G, lb):
+                continue
+            g_sigs = [parent_signature(row) for row in G]
+            positions = []
+            for row in G:
+                by_val = {}
+                for v, val in enumerate(row):
+                    by_val.setdefault(val, set()).add(v)
+                positions.append({val: frozenset(vs) for val, vs in by_val.items()})
+
+            init_cands = [all_cols - {c}] * n
+            init_cands[b0] = frozenset([c])
+            used = [False] * n
+            used[r] = True
+            sigma = [r] + [-1] * (n - 1)
+
+            def extend(i, cands):
+                if i == n:
+                    tau = _sdr(cands)
+                    return None if tau is None else _witness_from_maps(A, B, sigma, tau)
+                target = b_sigs[i]
+                row_b = lb[i]
+                for u in range(n):
+                    if used[u] or g_sigs[u] != target:
+                        continue
+                    if not budget.spend():
+                        raise _OutOfBudget
+                    new_cands = []
+                    pos_u = positions[u]
+                    for j in range(n):
+                        allowed = pos_u.get(row_b[j])
+                        if allowed is None:
+                            break
+                        nc = cands[j] & allowed
+                        if not nc:
+                            break
+                        new_cands.append(nc)
+                    else:
+                        used[u] = True
+                        sigma[i] = u
+                        witness = extend(i + 1, new_cands)
+                        if witness is not None:
+                            return witness
+                        used[u] = False
+                        sigma[i] = -1
+                return None
+
+            witness = extend(1, init_cands)
+            if witness is not None:
+                return witness
+    return None
+
+
+def same_shape(G, lb):
+    """Equal multisets of row value-multisets and of column value-multisets."""
+
+    def shape(M):
+        return (
+            Counter(frozenset(Counter(row).items()) for row in M),
+            Counter(frozenset(Counter(col).items()) for col in zip(*M)),
+        )
+
+    return shape(G) == shape(lb)
+
+
+def shape_filtered_search(A, B, budget):
+    return parent_search(A, B, budget, same_shape)
+
+
+def witness_key(witness):
+    if witness is None:
+        return None
+    return (witness.row_perm, witness.col_perm, witness.row_logs, witness.col_logs)
+
+
 def run(search, A, B):
     budget = _Budget(BUDGET)
     try:
@@ -216,10 +332,15 @@ def assert_searches_agree(a, b):
     old_status, old_witness, old_nodes = run(old_search, A, B)
     assert new_status == old_status
     if not A.has_zero():
-        assert new_nodes == old_nodes
+        assert new_nodes <= old_nodes
     for witness in (new_witness, old_witness):
         if witness is not None:
             assert witness.maps(A, B)
+    parent_status, parent_witness, parent_nodes = run(parent_search, A, B)
+    assert (new_status, witness_key(new_witness)) == (parent_status, witness_key(parent_witness))
+    assert new_nodes <= parent_nodes
+    shaped = run(shape_filtered_search, A, B)
+    assert (new_status, witness_key(new_witness), new_nodes) == (shaped[0], witness_key(shaped[1]), shaped[2])
     return new_status
 
 
