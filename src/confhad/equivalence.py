@@ -10,13 +10,21 @@ order, so "inequivalent by exhausted search" is relative to that notion.
 One search serves Hadamard and conference inputs.  It dephases B about one
 cell and A about every cell in turn, which removes the diagonals, skips every
 anchor whose dephased matrix has other sorted row or column signatures than
-B's (no witness passes through it), and then matches rows.  A quadruple
-that touches a zero cell has no value; it gets the sentinel ``_ZERO``, and
-the cells it hides are checked by the witness at the leaf, where a failure
-backtracks.  Zero cells must form a permutation pattern (one per row and per
-column, such as the zero diagonal).  That makes the columns of each dephased
-matrix pairwise distinct by their sentinel cells alone, so once the rows are
-matched the column map is forced.
+B's (no witness passes through it), and then matches rows.  The columns a
+B column may map to are held as cells (a set of B columns with the set of A
+columns they may take), which every matched row splits by value.  Two
+prunes refine rows and columns together, after McKay-Piperno ("Practical
+graph isomorphism II", 2014): every cell must split into equal parts on both
+sides, and the unmatched rows of both matrices must have equal multisets of
+value counts per cell.  Each is a necessary condition for any witness below
+a node, so an exhausted search stays a proof.  B's side of every depth is
+built once per B and shared by all anchors, branches and searches against
+it.  A quadruple that touches a zero cell has no value; it gets the sentinel
+``_ZERO``, and the cells it hides are checked by the witness at the leaf,
+where a failure backtracks.  Zero cells must form a permutation pattern (one
+per row and per column, such as the zero diagonal).  That makes the columns
+of each dephased matrix pairwise distinct by their sentinel cells alone, so
+once the rows are matched the column map is forced.
 """
 
 from __future__ import annotations
@@ -172,26 +180,14 @@ def _row_signature(row: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(row))
 
 
-def _sdr(cands: list[frozenset[int]]) -> Optional[list[int]]:
-    """System of distinct representatives by smallest-candidate-first search."""
-    order = sorted(range(len(cands)), key=lambda j: len(cands[j]))
-    pick: dict[int, int] = {}
-
-    def go(t: int) -> bool:
-        if t == len(order):
-            return True
-        j = order[t]
-        for v in sorted(cands[j]):
-            if v not in pick.values():
-                pick[j] = v
-                if go(t + 1):
-                    return True
-                del pick[j]
-        return False
-
-    if not go(0):
-        return None
-    return [pick[j] for j in range(len(cands))]
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _witness_from_maps(
@@ -266,81 +262,216 @@ def _col_shape(M: list[list[int]]) -> list[tuple[int, ...]]:
     return sorted(_row_signature(col) for col in zip(*M))
 
 
-def _search(A: ButsonMatrix, B: ButsonMatrix, budget: _Budget) -> Optional[MonomialTransform]:
+class _Level:
+    """B's side of search depth i: its cells, set by rows 0..i-1.
+
+    ``split`` lists (cell index, value index, size) of every part that row i
+    cuts a cell into, in the order of depth i+1's cells.  ``wide`` indexes
+    the cells of two or more columns; on them, ``cell_counts`` holds every
+    row's counts per cell, sorted, ``want`` is row i's profile and
+    ``profiles`` those of all rows, sorted.
+    """
+
+    __slots__ = ("cells", "split", "wide", "cell_counts", "want", "profiles")
+
+    def __init__(self, cells, split=(), wide=(), cell_counts=(), want=(), profiles=()) -> None:
+        self.cells, self.split, self.wide = cells, split, wide
+        self.cell_counts, self.want, self.profiles = cell_counts, want, profiles
+
+
+class _Target:
+    """B's side of the search, shared by every anchor, branch and search
+    against B: B dephased about (0, b0), and its depths, refined lazily.
+
+    Sets of columns are bitmasks.  A row's profile holds its count of each
+    value in each cell, leaving out the last value of ``index`` (the counts
+    in a cell sum to its size).  The counts are summed column by column for
+    all rows at once: a packed column is one integer with row u's count of
+    value x at byte (u * counted + x) * width, so the sum of a cell's packed
+    columns holds every row's counts on that cell.
+    """
+
+    __slots__ = ("B", "n", "b0", "sigs", "row_shape", "col_shape", "index", "counted", "width", "masks", "packed", "levels")
+
+    def __init__(self, B: ButsonMatrix) -> None:
+        n = B.n
+        self.B, self.n = B, n
+        self.b0 = b0 = next((j for j, x in enumerate(B.logs[0]) if x is not None), 0)
+        lb = _dephased(B, 0, b0)
+        self.sigs = [_row_signature(row) for row in lb]
+        self.row_shape, self.col_shape = sorted(self.sigs), _col_shape(lb)
+        self.index = {x: k for k, x in enumerate(sorted({x for row in lb for x in row}))}
+        self.counted = max(1, len(self.index) - 1)
+        self.width = (n.bit_length() + 7) // 8
+        self.masks, self.packed = self.encode(lb)
+        self.levels = [_Level(()), self._level(1, (1 << b0, ((1 << n) - 1) ^ (1 << b0)))]
+
+    def encode(self, M: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+        """For a dephased matrix with B's values: per row, the mask of the
+        columns holding each value, and per column, its packed counts."""
+        n, index, counted, width = len(M), self.index, self.counted, self.width
+        masks = []
+        for row in M:
+            mask = [0] * len(index)
+            for v, x in enumerate(row):
+                mask[index[x]] |= 1 << v
+            masks.append(mask)
+        packed = []
+        for v in range(n):
+            column = bytearray(n * counted * width)
+            for u in range(n):
+                x = index[M[u][v]]
+                if x < counted:
+                    column[(u * counted + x) * width] = 1
+            packed.append(int.from_bytes(column, "little"))
+        return masks, packed
+
+    def counts(self, packed: list[int], cell: int) -> bytes:
+        """Every row's counts on ``cell``."""
+        total = 0
+        while cell:
+            low = cell & -cell
+            total += packed[low.bit_length() - 1]
+            cell ^= low
+        return total.to_bytes(self.n * self.counted * self.width, "little")
+
+    def profiles(self, counts: Sequence[bytes]) -> list[tuple[int, ...]]:
+        """Every row's profile, from its counts on each cell."""
+        size = self.counted * self.width
+        return list(zip(*[on_cell[k::size] for on_cell in counts for k in range(size)]))
+
+    def _level(self, i: int, cells: tuple[int, ...]) -> _Level:
+        if i == self.n:
+            return _Level(cells)
+        row = self.masks[i]
+        split = tuple(
+            (k, x, (cell & mask).bit_count())
+            for k, cell in enumerate(cells)
+            for x, mask in enumerate(row)
+            if cell & mask
+        )
+        wide = tuple(k for k, cell in enumerate(cells) if cell & (cell - 1))
+        if not wide:
+            return _Level(cells, split)
+        counts = [self.counts(self.packed, cells[k]) for k in wide]
+        profiles = self.profiles(counts)
+        return _Level(cells, split, wide, tuple(map(sorted, counts)), profiles[i], tuple(sorted(profiles)))
+
+    def level(self, i: int) -> _Level:
+        levels = self.levels
+        while len(levels) <= i:
+            last, prev_row = levels[-1], self.masks[len(levels) - 1]
+            cells = tuple(last.cells[k] & prev_row[x] for k, x, _ in last.split)
+            levels.append(self._level(len(levels), cells))
+        return levels[i]
+
+
+class _Anchor:
+    """A's side of one anchor (r, c): A dephased about it, and the rows
+    mapped so far.  ``extend`` is the depth-first search below the anchor."""
+
+    __slots__ = ("A", "target", "budget", "masks", "packed", "rows_with", "used", "sigma")
+
+    def __init__(self, A: ButsonMatrix, target: _Target, budget: _Budget, G: list[list[int]], r: int) -> None:
+        n = A.n
+        self.A, self.target, self.budget = A, target, budget
+        self.masks, self.packed = target.encode(G)
+        self.rows_with: dict[tuple[int, ...], list[int]] = {}  # signature -> G-rows
+        for u, row in enumerate(G):
+            self.rows_with.setdefault(_row_signature(row), []).append(u)
+        self.used = [False] * n
+        self.used[r] = True
+        self.sigma = [r] + [-1] * (n - 1)
+
+    def extend(self, i: int, cells: list[int]) -> Optional[MonomialTransform]:
+        """Map B's rows i.. given A's ``cells``, which pair with B's at depth i."""
+        t = self.target
+        level = t.level(i)
+        if i == t.n:
+            tau = [0] * i
+            for b_cell, a_cell in zip(level.cells, cells):
+                for j, v in zip(_bits(b_cell), _bits(a_cell)):
+                    tau[j] = v
+            return _witness_from_maps(self.A, t.B, self.sigma, tau)
+        used, masks = self.used, self.masks
+        rows = self.rows_with[t.sigs[i]]  # present: the shapes matched
+        if level.wide:
+            # each mapped row has the profile of the B row it carries, so
+            # all rows compare; each cell's counts first, as they are cheaper
+            counts = []
+            for k, want in zip(level.wide, level.cell_counts):
+                on_cell = t.counts(self.packed, cells[k])
+                if sorted(on_cell) != want:
+                    return None
+                counts.append(on_cell)
+            profiles = t.profiles(counts)
+            if tuple(sorted(profiles)) != level.profiles:
+                return None
+            rows = [u for u in rows if profiles[u] == level.want]
+        rows = [u for u in rows if not used[u]]
+        for u in rows:
+            if not self.budget.spend():
+                raise _OutOfBudget
+            row = masks[u]
+            parts = []
+            for k, x, size in level.split:
+                part = cells[k] & row[x]
+                if part.bit_count() != size:
+                    break
+                parts.append(part)
+            else:
+                used[u] = True
+                self.sigma[i] = u
+                witness = self.extend(i + 1, parts)
+                if witness is not None:
+                    return witness
+                used[u] = False
+                self.sigma[i] = -1
+        return None
+
+
+def _search(A: ButsonMatrix, target: _Target, budget: _Budget) -> Optional[MonomialTransform]:
     """Map B's row 0 onto each row r of A and its column b0 onto each column c.
 
     B is dephased about (0, b0) and A about (r, c).  A witness through that
     anchor carries one dephased matrix onto the other by a row and a column
     permutation, sentinels included, so an anchor whose sorted row or column
     signatures differ from B's is skipped before it costs a node.  Otherwise
-    rows are assigned in order among A's rows with the same value counts,
-    each narrowing the columns every column of B may map to.  Values that
-    touch a zero are checked only by the witness at the leaf.
-    """
-    n = A.n
-    la, b_row0 = A.logs, B.logs[0]
-    b0 = next((j for j, x in enumerate(b_row0) if x is not None), 0)
-    lb = _dephased(B, 0, b0)
-    b_sigs = [_row_signature(row) for row in lb]
-    b_rows, b_cols = sorted(b_sigs), _col_shape(lb)
-    all_cols = frozenset(range(n))
+    rows are assigned in order among A's rows with the same signature.
 
+    The columns are held as cells: a set of B's columns paired with the set
+    of A's columns they may map to, first {b0} -> {c} and the rest -> the
+    rest.  Mapping B's row i onto A's row u splits every cell by value, and
+    two prunes cut the subtrees that hold no witness:
+
+    (a) every cell must split into parts of equal size on both sides, since
+        the column map is a bijection of each cell that keeps values;
+    (b) while a cell holds two or more columns, the unmapped B rows and the
+        unused A rows must have equal multisets of profiles (a row's count
+        of each value in each such cell), since the row map carries one
+        onto the other; B's next row is tried only against A rows with its
+        profile.
+
+    Neither prune removes a witness, so an exhausted search is still a
+    proof, and since the order of anchors, rows and candidates is the one
+    without them, the witness found is the same; only the node count falls.
+    B's side of every depth depends on B alone and is built once in
+    ``target``.  At the leaf the k-th column of each B cell maps to the k-th
+    of its A cell, the representatives the search without cells picked.
+    Values that touch a zero are checked only by the witness there.
+    """
+    n, la = A.n, A.logs
+    anchor_zero = target.B.logs[0][target.b0] is None
+    full = (1 << n) - 1
     for r in range(n):
         for c in range(n):
             # anchors agree in zero status; only the 1x1 zero matrix has a zero anchor
-            if (la[r][c] is None) != (b_row0[b0] is None):
+            if (la[r][c] is None) != anchor_zero:
                 continue
             G = _dephased(A, r, c)
-            g_sigs = [_row_signature(row) for row in G]
-            if sorted(g_sigs) != b_rows or _col_shape(G) != b_cols:
+            if sorted(map(_row_signature, G)) != target.row_shape or _col_shape(G) != target.col_shape:
                 continue
-            rows_with: dict[tuple[int, ...], list[int]] = {}  # signature -> G-rows
-            for u, sig in enumerate(g_sigs):
-                rows_with.setdefault(sig, []).append(u)
-            positions = []  # per G-row: value -> frozenset of columns
-            for row in G:
-                by_val: dict[int, set[int]] = {}
-                for v, val in enumerate(row):
-                    by_val.setdefault(val, set()).add(v)
-                positions.append({val: frozenset(vs) for val, vs in by_val.items()})
-
-            init_cands = [all_cols - {c}] * n
-            init_cands[b0] = frozenset([c])
-            used = [False] * n
-            used[r] = True
-            sigma = [r] + [-1] * (n - 1)
-
-            def extend(i: int, cands: list[frozenset[int]]) -> Optional[MonomialTransform]:
-                if i == n:
-                    tau = _sdr(cands)
-                    return None if tau is None else _witness_from_maps(A, B, sigma, tau)
-                row_b = lb[i]
-                for u in rows_with[b_sigs[i]]:  # present: the shapes matched
-                    if used[u]:
-                        continue
-                    if not budget.spend():
-                        raise _OutOfBudget
-                    new_cands = []
-                    pos_u = positions[u]
-                    for j in range(n):
-                        allowed = pos_u.get(row_b[j])
-                        if allowed is None:
-                            break
-                        nc = cands[j] & allowed
-                        if not nc:
-                            break
-                        new_cands.append(nc)
-                    else:
-                        used[u] = True
-                        sigma[i] = u
-                        witness = extend(i + 1, new_cands)
-                        if witness is not None:
-                            return witness
-                        used[u] = False
-                        sigma[i] = -1
-                return None
-
-            witness = extend(1, init_cands)
+            witness = _Anchor(A, target, budget, G, r).extend(1, [1 << c, full ^ (1 << c)])
             if witness is not None:
                 return witness
     return None
@@ -371,19 +502,25 @@ def are_equivalent(
     return _search_verdict(a, b, budget)
 
 
-def _search_verdict(a: ButsonMatrix, b: ButsonMatrix, budget: int) -> EquivalenceVerdict:
+def _search_verdict(
+    a: ButsonMatrix, b: ButsonMatrix, budget: int, targets: Optional[dict[int, _Target]] = None
+) -> EquivalenceVerdict:
     """Decide a against b (same size) by search alone.
 
     Zero cells, if any, must form permutation patterns.  No invariant is
     consulted, so the verdict is "equivalent" with a witness verified on a
-    and b, "inequivalent" by exhausted search, or "unknown".
+    and b, "inequivalent" by exhausted search, or "unknown".  ``targets``
+    keeps b's search side by lifted order for later calls against b.
     """
     a0, b0 = a.reduce_order(), b.reduce_order()
     m = lcm(a0.m, b0.m)
-    A, B = a0.lift(m), b0.lift(m)
+    targets = {} if targets is None else targets
+    target = targets.get(m)
+    if target is None:
+        target = targets[m] = _Target(b0.lift(m))
     tracker = _Budget(budget)
     try:
-        witness = _search(A, B, tracker)
+        witness = _search(a0.lift(m), target, tracker)
     except _OutOfBudget:
         return EquivalenceVerdict("unknown", None, "budget exhausted", tracker.used)
     if witness is not None:
@@ -414,14 +551,15 @@ def specialize_and_classify(
 
     Assignments give root-of-unity logs base zeta_order per symbol.  Matrices
     are bucketed by fingerprint, each computed once, then refined by the
-    equivalence search; an exhausted budget opens a fresh class flagged
-    ``undecided``.
+    equivalence search, whose side of each class representative is built
+    once; an exhausted budget opens a fresh class flagged ``undecided``.
     """
     result = check_inverse_orthogonal(matrix)
     if not result:
         raise ValueError(f"matrix is not inverse orthogonal: {result.describe()}")
     classes: list[EquivalenceClass] = []
     fingerprints: list[Fingerprint] = []
+    targets: list[dict[int, _Target]] = []  # per class, by lifted order
     for asg in assignments:
         M = eval_exact(matrix, asg, order)
         if not check_hadamard(M):
@@ -429,10 +567,10 @@ def specialize_and_classify(
         fp = fingerprint(M)
         placed = False
         hit_budget = False
-        for cls, cls_fp in zip(classes, fingerprints):
+        for cls, cls_fp, cls_targets in zip(classes, fingerprints, targets):
             if cls_fp != fp:
                 continue
-            verdict = _search_verdict(M, cls.representative, budget)
+            verdict = _search_verdict(M, cls.representative, budget, cls_targets)
             if verdict.equivalent:
                 cls.assignments.append(dict(asg))
                 placed = True
@@ -442,4 +580,5 @@ def specialize_and_classify(
         if not placed:
             classes.append(EquivalenceClass(M, [dict(asg)], undecided=hit_budget))
             fingerprints.append(fp)
+            targets.append({})
     return classes

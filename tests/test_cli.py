@@ -124,6 +124,30 @@ def test_equiv_tiny_conference_files(capsys, tmp_path):
         assert code == 0 and out.startswith("equivalent (witness found;")
 
 
+def test_equiv_doubled_paley_image_files(capsys, tmp_path):
+    # a +-1 Hadamard matrix of order 28 (the doubled Paley core of order 14)
+    # against a signed, permuted copy, decided within 10^5 nodes
+    from confhad.equivalence import MonomialTransform
+    from confhad.formats import emit_matrix
+    from confhad.matrices import bordered_circulant, double_orthogonal, to_butson
+    from confhad.symbolic import ONE
+
+    squares = {k * k % 13 for k in range(1, 13)}
+    core = bordered_circulant([None] + [ONE if k in squares else -ONE for k in range(1, 13)])
+    H = to_butson(double_orthogonal(core))
+    n = H.n
+    rows, cols = list(range(n)), list(range(n))
+    rows.reverse()
+    cols = cols[5:] + cols[:5]
+    signs = tuple(int(k % 3 == 0) for k in range(n))
+    image = MonomialTransform(2, tuple(rows), tuple(cols), signs, signs[::-1]).apply(H)
+    a, b = tmp_path / "h28.bh", tmp_path / "h28_image.bh"
+    a.write_text(emit_matrix(H))
+    b.write_text(emit_matrix(image))
+    code, out, _ = run(capsys, "equiv", str(a), str(b), "--budget", "100000")
+    assert code == 0 and out.startswith("equivalent (witness found;")
+
+
 def test_fingerprint_output(capsys):
     code, out, _ = run(capsys, "fingerprint", "H12a")
     assert code == 0

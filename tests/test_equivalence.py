@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -11,8 +12,9 @@ from confhad.equivalence import (
     fingerprint,
     specialize_and_classify,
 )
-from confhad.matrices import ButsonMatrix, double_orthogonal, eval_exact, to_butson
-from confhad.verify import check_hadamard
+from confhad.matrices import ButsonMatrix, bordered_circulant, double_orthogonal, eval_exact, to_butson
+from confhad.symbolic import ONE
+from confhad.verify import check_conference, check_hadamard
 
 
 def random_transform(n, m, rng):
@@ -34,6 +36,12 @@ H4 = ButsonMatrix(2, [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0]])
 
 def butson(name):
     return to_butson(catalog.build_verified(name))
+
+
+def paley_core(q):
+    """The bordered Paley conference matrix of order q + 1 (q = 1 mod 4)."""
+    squares = {k * k % q for k in range(1, q)}
+    return bordered_circulant([None] + [ONE if k in squares else -ONE for k in range(1, q)])
 
 
 def o12d_twin_points():
@@ -189,33 +197,33 @@ class TestAreEquivalent:
         # no anchor of H12a dephases to H12d's row and column shape
         from math import lcm
 
-        from confhad.equivalence import _Budget, _search
+        from confhad.equivalence import _Budget, _search, _Target
 
         A, B = butson("H12a"), butson("H12d")
         m = lcm(A.m, B.m)
         budget = _Budget(10**8)
-        assert _search(A.lift(m), B.lift(m), budget) is None
+        assert _search(A.lift(m), _Target(B.lift(m)), budget) is None
         assert budget.used == 0
 
     def test_hadamard_search_exhausts_on_same_fingerprint_pair(self):
         # completeness probe for the dephased-anchor search itself: two
         # inequivalent order-4 points of O12d that the fingerprint cannot part
-        from confhad.equivalence import _Budget, _search
+        from confhad.equivalence import _Budget, _search, _Target
 
         A, B = o12d_twin_points()
         assert fingerprint(A) == fingerprint(B)
         budget = _Budget(10**8)
-        assert _search(A, B, budget) is None
+        assert _search(A, _Target(B), budget) is None
         assert 0 < budget.used < 10**5
         verdict = are_equivalent(A, B)
         assert verdict.inequivalent and verdict.reason == "exhausted search"
         assert verdict.nodes == budget.used
 
     def test_conference_search_exhausts_on_inequivalent_pair(self):
-        from confhad.equivalence import _Budget, _search
+        from confhad.equivalence import _Budget, _search, _Target
 
         budget = _Budget(10**8)
-        assert _search(butson("C6f"), butson("C6g"), budget) is None
+        assert _search(butson("C6f"), _Target(butson("C6g")), budget) is None
         assert 0 < budget.used < 10**5
 
     def test_tiny_conference_matrices(self):
@@ -260,6 +268,43 @@ class TestAreEquivalent:
                 expected = classes[x] == classes[y]
                 assert verdict.equivalent == expected, (x, y, verdict.status)
                 assert verdict.status != "unknown"
+
+
+class TestDoubledPaley:
+    """+-1 Hadamard matrices of order 28 by doubling the Paley conference
+    matrix of order 14.  Every dephased row of such a matrix has the same
+    signature, so only the refinement of rows and columns decides them."""
+
+    def test_seeded_images_are_decided_within_budget(self):
+        H = to_butson(double_orthogonal(paley_core(13)))
+        assert (H.n, H.m) == (28, 2) and check_hadamard(H)
+        rng = random.Random(1328)
+        for _ in range(3):
+            image = random_transform(H.n, H.m, rng).apply(H)
+            verdict = are_equivalent(H, image, budget=10**5)
+            assert verdict.equivalent and verdict.witness.maps(H, image)
+            assert 0 < verdict.nodes <= 10**5
+
+    def test_searches_leave_no_cyclic_garbage(self):
+        rng = random.Random(30)
+        C = to_butson(paley_core(29))
+        H = to_butson(double_orthogonal(paley_core(13)))
+        assert C.n == 30 and check_conference(C)
+        C_image = random_transform(C.n, C.m, rng).apply(C)
+        H_image = random_transform(H.n, H.m, rng).apply(H)
+        gc.collect()
+        gc.disable()
+        try:
+            verdicts = [
+                are_equivalent(C, C_image, budget=10**5),
+                are_equivalent(H, H_image, budget=10**5),
+                are_equivalent(H, H_image, budget=1),
+            ]
+            left = gc.collect()
+        finally:
+            gc.enable()
+        assert [v.status for v in verdicts] == ["equivalent", "equivalent", "unknown"]
+        assert left == 0
 
 
 class TestSearchVerdict:
