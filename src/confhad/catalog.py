@@ -44,66 +44,54 @@ from .verify import (
 
 DEFAULT_SEED = 20240809
 
-_CONFERENCE = ("C6pq", "C6a", "C6b", "C6c", "C6d", "C6e", "C6f", "C6g")
-_ORTHOGONAL = tuple(f"O12{x}" for x in "abcdefgh")
-_HADAMARD = tuple(f"H12{x}" for x in "abcdefg")
-_EXPONENT = ("R12_6", "R12_7")
-_FAMILY = tuple(f"D12{x}" for x in "abcdefgh")
-
-# source display tags, for the --list output
-REFS = {
-    "C6pq": "eq. (7)",
-    "C6a": "eq. (8)",
-    "C6b": "eq. (9)",
-    "C6c": "eq. (10)",
-    "O12a": "eq. (11)",
-    "O12b": "eq. (12)",
-    "O12c": "eq. (13)",
-    "H12a": "eq. (14) group",
-    "H12b": "eq. (14) group",
-    "H12c": "eq. (14) group",
-    "C6d": "eq. (15)",
-    "C6e": "eq. (16)",
-    "C6f": "eq. (17)",
-    "C6g": "eq. (18)",
-    "O12d": "eq. (19)",
-    "O12e": "eq. (20)",
-    "O12f": "eq. (21)",
-    "O12g": "eq. (22)",
-    "H12d": "eq. (19) group",
-    "H12e": "eq. (20) group",
-    "H12f": "eq. (21) group",
-    "H12g": "eq. (22) group",
-    "R12_6": "eq. (23)",
-    "D12a": "eq. (24)",
-    "D12b": "eq. (25)",
-    "D12c": "eq. (25) group",
-    "O12h": "eq. (26)",
-    "R12_7": "eq. (26) group",
-    "D12d": "eq. (27) group",
-    "D12e": "eq. (27) group",
-    "D12f": "eq. (27) group",
-    "D12g": "eq. (27) group",
-    "D12h": "eq. (28)",
+# name -> (kind, source display tag for the --list output), in catalog order
+_ENTRIES = {
+    "C6pq": ("conference", "eq. (7)"),
+    "C6a": ("conference", "eq. (8)"),
+    "C6b": ("conference", "eq. (9)"),
+    "C6c": ("conference", "eq. (10)"),
+    "C6d": ("conference", "eq. (15)"),
+    "C6e": ("conference", "eq. (16)"),
+    "C6f": ("conference", "eq. (17)"),
+    "C6g": ("conference", "eq. (18)"),
+    "O12a": ("orthogonal", "eq. (11)"),
+    "O12b": ("orthogonal", "eq. (12)"),
+    "O12c": ("orthogonal", "eq. (13)"),
+    "O12d": ("orthogonal", "eq. (19)"),
+    "O12e": ("orthogonal", "eq. (20)"),
+    "O12f": ("orthogonal", "eq. (21)"),
+    "O12g": ("orthogonal", "eq. (22)"),
+    "O12h": ("orthogonal", "eq. (26)"),
+    "H12a": ("hadamard", "eq. (14) group"),
+    "H12b": ("hadamard", "eq. (14) group"),
+    "H12c": ("hadamard", "eq. (14) group"),
+    "H12d": ("hadamard", "eq. (19) group"),
+    "H12e": ("hadamard", "eq. (20) group"),
+    "H12f": ("hadamard", "eq. (21) group"),
+    "H12g": ("hadamard", "eq. (22) group"),
+    "R12_6": ("exponent", "eq. (23)"),
+    "R12_7": ("exponent", "eq. (26) group"),
+    "D12a": ("family", "eq. (24)"),
+    "D12b": ("family", "eq. (25)"),
+    "D12c": ("family", "eq. (25) group"),
+    "D12d": ("family", "eq. (27) group"),
+    "D12e": ("family", "eq. (27) group"),
+    "D12f": ("family", "eq. (27) group"),
+    "D12g": ("family", "eq. (27) group"),
+    "D12h": ("family", "eq. (28)"),
 }
+REFS = {name: ref for name, (_, ref) in _ENTRIES.items()}
 
 
 def names() -> tuple[str, ...]:
-    return _CONFERENCE + _ORTHOGONAL + _HADAMARD + _EXPONENT + _FAMILY
+    return tuple(_ENTRIES)
 
 
 def kind(name: str) -> str:
-    if name in _CONFERENCE:
-        return "conference"
-    if name in _ORTHOGONAL:
-        return "orthogonal"
-    if name in _HADAMARD:
-        return "hadamard"
-    if name in _EXPONENT:
-        return "exponent"
-    if name in _FAMILY:
-        return "family"
-    raise KeyError(f"unknown catalog name {name!r}")
+    try:
+        return _ENTRIES[name][0]
+    except KeyError:
+        raise KeyError(f"unknown catalog name {name!r}") from None
 
 
 def _data_text(filename: str) -> str:
@@ -158,32 +146,18 @@ def build(name: str) -> Union[SymbolicMatrix, ExponentMatrix, ComplexMatrix]:
     return parse_symbolic(_data_text(f"{name}.sym"), name)
 
 
-def _apply_repairs_symbolic(matrix: SymbolicMatrix, fixes: Sequence[CellRepair]) -> SymbolicMatrix:
-    rows = [list(r) for r in matrix.rows]
+def _apply_repairs(grid, fixes: Sequence[CellRepair], parse_cell) -> list[list]:
+    """Copy of grid with each fix's printed cell replaced by its verified cell."""
+    rows = [list(r) for r in grid]
     for fix in fixes:
         current = rows[fix.row][fix.col]
-        expected = parse_entry(fix.printed)
-        if current != expected:
+        if current != parse_cell(fix.printed):
             raise ValueError(
                 f"repair mismatch at ({fix.row},{fix.col}): file has "
                 f"{current}, repairs.txt expects {fix.printed}"
             )
-        rows[fix.row][fix.col] = parse_entry(fix.verified)
-    return SymbolicMatrix(rows, matrix.label)
-
-
-def _apply_repairs_exponent(matrix: ExponentMatrix, fixes: Sequence[CellRepair]) -> ExponentMatrix:
-    cells = [list(r) for r in matrix.cells]
-    for fix in fixes:
-        current = cells[fix.row][fix.col]
-        expected = parse_phase_cell(fix.printed)
-        if current != expected:
-            raise ValueError(
-                f"repair mismatch at ({fix.row},{fix.col}): file has "
-                f"{current}, repairs.txt expects {fix.printed}"
-            )
-        cells[fix.row][fix.col] = parse_phase_cell(fix.verified)
-    return ExponentMatrix(cells, matrix.label)
+        rows[fix.row][fix.col] = parse_cell(fix.verified)
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -197,8 +171,8 @@ def build_verified(name: str) -> Union[SymbolicMatrix, ExponentMatrix]:
     if not fixes:
         return printed
     if isinstance(printed, ExponentMatrix):
-        return _apply_repairs_exponent(printed, fixes)
-    return _apply_repairs_symbolic(printed, fixes)
+        return ExponentMatrix(_apply_repairs(printed.cells, fixes, parse_phase_cell), printed.label)
+    return SymbolicMatrix(_apply_repairs(printed.rows, fixes, parse_entry), printed.label)
 
 
 # ---------------------------------------------------------------------------

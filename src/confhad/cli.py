@@ -81,7 +81,11 @@ def _load_target(target: str, verified: bool) -> AnyMatrix:
     if not path.exists():
         raise _UsageError(f"unknown catalog name or missing file: {target!r}")
     try:
-        return parse_matrix(path.read_text(), label=path.name)
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {target}: {exc}") from None
+    try:
+        return parse_matrix(text, label=path.name)
     except FormatError as exc:
         raise _UsageError(f"{target}: {exc}") from None
 
@@ -119,7 +123,10 @@ def _exact_matrix(target: str, verified: bool = True) -> ButsonMatrix:
 
 def _write_out(text: str, out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

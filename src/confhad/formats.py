@@ -1,12 +1,15 @@
 """Text formats for the four matrix kinds.
 
 SYM n  -- symbolic cells in the monomial grammar (`0`, `1`, `-i*c*a^-1`, ...)
-EXP n  -- affine phase cells (`.` for a bullet, `0`, `b-a`, `e+g-a`, ...)
+EXP n  -- affine phase cells (`.` for a bullet, `0`, `b-a`, `e+g-a`, ...): an
+          optional sign, then terms joined by `+` or `-`; a term is ASCII
+          digits, a symbol a-z other than i, or digits followed by a symbol
 BH n m -- Butson log form: integer k for zeta_m^k, `z` for a zero cell
 NUM n  -- complex floats as `re,im` pairs, 17 significant digits
 
-Parsing is whitespace-insensitive inside rows; emit(parse(text)) is the
-identity up to whitespace.  parse(emit(M)) == M structurally unless a NUM
+Parsing is whitespace-insensitive inside rows.  Emitting aligns SYM and EXP
+columns and writes EXP terms in canonical order, constant first and symbols
+sorted, so `b-a` comes back as `-a+b`.  parse(emit(M)) == M structurally unless a NUM
 cell is NaN, which equals nothing; emit(parse(emit(M))) == emit(M) for all M.
 """
 
@@ -65,46 +68,57 @@ def _split_rows(text: str, kind: str, extra_header: int = 0):
     return n, header, rows
 
 
-def parse_symbolic(text: str, label: str | None = None) -> SymbolicMatrix:
-    _, _, rows = _split_rows(text, "SYM")
+def _parse_cells(rows, parse_cell) -> list[list]:
+    """parse_cell over every cell; its ValueError becomes a FormatError
+    naming the line."""
     grid = []
     for lineno, cells in rows:
         try:
-            grid.append([parse_entry(c) for c in cells])
+            grid.append([parse_cell(c) for c in cells])
         except ValueError as exc:
             raise FormatError(str(exc), lineno) from None
-    return SymbolicMatrix(grid, label)
+    return grid
+
+
+def _emit_aligned(header: str, cells: list[list[str]]) -> str:
+    """Left-aligned columns two spaces apart, trailing blanks cut."""
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    body = "\n".join(
+        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells
+    )
+    return f"{header}\n{body}\n"
+
+
+def parse_symbolic(text: str, label: str | None = None) -> SymbolicMatrix:
+    _, _, rows = _split_rows(text, "SYM")
+    return SymbolicMatrix(_parse_cells(rows, parse_entry), label)
 
 
 def emit_symbolic(matrix: SymbolicMatrix) -> str:
     cells = [[entry_str(c) for c in row] for row in matrix.rows]
-    widths = [max(len(cells[i][j]) for i in range(matrix.n)) for j in range(matrix.n)]
-    body = "\n".join(
-        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells
-    )
-    return f"SYM {matrix.n}\n{body}\n"
+    return _emit_aligned(f"SYM {matrix.n}", cells)
 
 
 def parse_exponent(text: str, label: str | None = None) -> ExponentMatrix:
     _, _, rows = _split_rows(text, "EXP")
-    grid = []
-    for lineno, cells in rows:
-        try:
-            grid.append([parse_phase_cell(c) for c in cells])
-        except ValueError as exc:
-            raise FormatError(str(exc), lineno) from None
-    return ExponentMatrix(grid, label)
+    return ExponentMatrix(_parse_cells(rows, parse_phase_cell), label)
 
 
 def emit_exponent(matrix: ExponentMatrix) -> str:
-    cells = [
-        ["." if c is None else str(c) for c in row] for row in matrix.cells
-    ]
-    widths = [max(len(cells[i][j]) for i in range(matrix.n)) for j in range(matrix.n)]
-    body = "\n".join(
-        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells
-    )
-    return f"EXP {matrix.n}\n{body}\n"
+    cells = [["." if c is None else str(c) for c in row] for row in matrix.cells]
+    return _emit_aligned(f"EXP {matrix.n}", cells)
+
+
+def _butson_cell(text: str, m: int) -> int | None:
+    if text == "z":
+        return None
+    try:
+        k = int(text)
+    except ValueError:
+        raise ValueError(f"bad log entry {text!r}") from None
+    if not 0 <= k < m:
+        raise ValueError(f"log {k} outside [0, {m})")
+    return k
 
 
 def parse_butson(text: str, label: str | None = None) -> ButsonMatrix:
@@ -117,22 +131,7 @@ def parse_butson(text: str, label: str | None = None) -> ButsonMatrix:
         raise FormatError(f"bad root order {m}", 1)
     if m > MAX_BUTSON_ORDER:
         raise FormatError(f"order {m} above {MAX_BUTSON_ORDER}", 1)
-    grid = []
-    for lineno, cells in rows:
-        row = []
-        for c in cells:
-            if c == "z":
-                row.append(None)
-                continue
-            try:
-                k = int(c)
-            except ValueError:
-                raise FormatError(f"bad log entry {c!r}", lineno) from None
-            if not 0 <= k < m:
-                raise FormatError(f"log {k} outside [0, {m})", lineno)
-            row.append(k)
-        grid.append(row)
-    return ButsonMatrix(m, grid, label)
+    return ButsonMatrix(m, _parse_cells(rows, lambda c: _butson_cell(c, m)), label)
 
 
 def emit_butson(matrix: ButsonMatrix) -> str:
@@ -144,21 +143,19 @@ def emit_butson(matrix: ButsonMatrix) -> str:
     return f"BH {matrix.n} {matrix.m}\n{body}\n"
 
 
+def _complex_cell(text: str) -> complex:
+    re_txt, sep, im_txt = text.partition(",")
+    if not sep:
+        raise ValueError(f"expected re,im pair, got {text!r}")
+    try:
+        return complex(float(re_txt), float(im_txt))
+    except ValueError:
+        raise ValueError(f"bad complex pair {text!r}") from None
+
+
 def parse_numeric(text: str, label: str | None = None) -> ComplexMatrix:
     _, _, rows = _split_rows(text, "NUM")
-    grid = []
-    for lineno, cells in rows:
-        row = []
-        for c in cells:
-            re_txt, sep, im_txt = c.partition(",")
-            if not sep:
-                raise FormatError(f"expected re,im pair, got {c!r}", lineno)
-            try:
-                row.append(complex(float(re_txt), float(im_txt)))
-            except ValueError:
-                raise FormatError(f"bad complex pair {c!r}", lineno) from None
-        grid.append(row)
-    return ComplexMatrix(grid, label)
+    return ComplexMatrix(_parse_cells(rows, _complex_cell), label)
 
 
 def emit_numeric(matrix: ComplexMatrix) -> str:

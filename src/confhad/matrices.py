@@ -13,6 +13,7 @@ dephasing and exact/float/exponent-form evaluation.
 from __future__ import annotations
 
 import cmath
+import re
 from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -127,45 +128,27 @@ class AffinePhase:
 PhaseCell = Optional[AffinePhase]
 
 
+_PHASE_TERM = "(?:[0-9]+[a-hj-z]?|[a-hj-z])"
+_PHASE_CELL = re.compile(f"[+-]?{_PHASE_TERM}(?:[+-]{_PHASE_TERM})*")
+_PHASE_PART = re.compile("([+-]?)([0-9]*)([a-hj-z]?)")
+
+
 def parse_phase_cell(text: str) -> PhaseCell:
+    """`.` or an optional sign, then terms joined by `+` or `-`; a term is
+    ASCII digits, a symbol a-z other than i, or digits followed by a symbol."""
     s = text.strip()
     if s == ".":
         return None
+    if not _PHASE_CELL.fullmatch(s):
+        raise ValueError(f"bad phase cell {text!r}")
     const = 0
     terms: list[tuple[str, int]] = []
-    i = 0
-    sign = 1
-    started = False
-    while i < len(s):
-        ch = s[i]
-        if ch == "+":
-            sign = 1
-            i += 1
-        elif ch == "-":
-            sign = -1
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(s) and s[j].isdigit():
-                j += 1
-            value = int(s[i:j])
-            if j < len(s) and s[j].isalpha():
-                terms.append((s[j], sign * value))
-                j += 1
-            else:
-                const += sign * value
-            sign = 1
-            i = j
-            started = True
-        elif ch.isalpha() and ch.islower() and ch != "i":
-            terms.append((ch, sign))
-            sign = 1
-            i += 1
-            started = True
-        else:
-            raise ValueError(f"bad phase cell {text!r}")
-    if not started:
-        raise ValueError(f"bad phase cell {text!r}")
+    for sign, digits, sym in _PHASE_PART.findall(s):
+        coef = (-1 if sign == "-" else 1) * (int(digits) if digits else 1)
+        if sym:
+            terms.append((sym, coef))
+        elif digits:
+            const += coef
     return AffinePhase(const, tuple(terms))
 
 
@@ -329,14 +312,24 @@ AnyMatrix = Union[SymbolicMatrix, ExponentMatrix, ButsonMatrix, ComplexMatrix]
 # constructions
 
 
+def _circulant_grid(first_row: Sequence) -> list[list]:
+    """Rows that are each the right cyclic shift of the last, for any cells."""
+    n = len(first_row)
+    return [[first_row[(j - i) % n] for j in range(n)] for i in range(n)]
+
+
+def _bordered_grid(core_row: Sequence, one) -> list[list]:
+    """The circulant of core_row framed by a first row and column of `one`
+    around a zero (None) corner; `one` is ONE for monomials, 0 for logs."""
+    core = _circulant_grid(core_row)
+    return [[None] + [one] * len(core)] + [[one, *row] for row in core]
+
+
 def circulant(first_row: Sequence[Entry], label: str | None = None) -> SymbolicMatrix:
     """Square matrix whose every row is the right cyclic shift of the last."""
-    n = len(first_row)
-    if n == 0:
+    if len(first_row) == 0:
         raise ValueError("first row must be nonempty")
-    return SymbolicMatrix(
-        [[first_row[(j - i) % n] for j in range(n)] for i in range(n)], label
-    )
+    return SymbolicMatrix(_circulant_grid(first_row), label)
 
 
 def bordered_circulant(core_row: Sequence[Entry], label: str | None = None) -> SymbolicMatrix:
@@ -345,12 +338,7 @@ def bordered_circulant(core_row: Sequence[Entry], label: str | None = None) -> S
         raise ValueError("core row must be nonempty")
     if core_row[0] is not None:
         raise ValueError("core row must start with the zero cell")
-    core = circulant(core_row)
-    k = core.n
-    rows: list[list[Entry]] = [[None] + [ONE] * k]
-    for i in range(k):
-        rows.append([ONE, *core.rows[i]])
-    return SymbolicMatrix(rows, label)
+    return SymbolicMatrix(_bordered_grid(core_row, ONE), label)
 
 
 def transpose(matrix: SymbolicMatrix) -> SymbolicMatrix:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .matrices import ButsonMatrix
+from .matrices import ButsonMatrix, _bordered_grid, _circulant_grid
 from .verify import check_conference
 
 CoreRow = tuple[Optional[int], ...]
@@ -21,22 +21,8 @@ CoreRow = tuple[Optional[int], ...]
 MAX_CANDIDATES = 10**6
 
 
-def _circulant_logs(first_row: Sequence[Optional[int]]) -> list[list[Optional[int]]]:
-    n = len(first_row)
-    return [[first_row[(j - i) % n] for j in range(n)] for i in range(n)]
-
-
-def _bordered_logs(core_row: Sequence[Optional[int]]) -> list[list[Optional[int]]]:
-    core = _circulant_logs(core_row)
-    k = len(core_row)
-    rows: list[list[Optional[int]]] = [[None] + [0] * k]
-    for i in range(k):
-        rows.append([0, *core[i]])
-    return rows
-
-
-def _search(n: int, m: int, free: int, logs) -> list[CoreRow]:
-    """Rows (0, c1..c_free) whose matrix logs(row) is conference, sorted.
+def _search(n: int, m: int, free: int, matrix) -> list[CoreRow]:
+    """Rows (0, c1..c_free) whose matrix(row, m) is conference, sorted.
 
     Refuses more than MAX_CANDIDATES candidates before enumerating any.  The
     size is multiplied only up to the cap, so a huge n costs nothing; order 1
@@ -52,7 +38,7 @@ def _search(n: int, m: int, free: int, logs) -> list[CoreRow]:
     found: list[CoreRow] = []
     for tail in product(range(m), repeat=free):
         row: CoreRow = (None, *tail)
-        if check_conference(ButsonMatrix(m, logs(row))):
+        if check_conference(matrix(row, m)):
             found.append(row)
     return found
 
@@ -60,22 +46,22 @@ def _search(n: int, m: int, free: int, logs) -> list[CoreRow]:
 def search_circulant(n: int, m: int) -> list[CoreRow]:
     """All first rows (0, c1..c_{n-1}), ci in m-th roots, giving a conference
     circulant; exhaustive over m^(n-1) candidates, sorted."""
-    return _search(n, m, n - 1, _circulant_logs)
+    return _search(n, m, n - 1, circulant_matrix)
 
 
 def search_bordered_circulant(n: int, m: int) -> list[CoreRow]:
     """All core rows (0, c1..c_{n-2}) whose bordered circulant is an n-by-n
     conference matrix; exhaustive over m^(n-2) candidates, sorted."""
-    return _search(n, m, n - 2, _bordered_logs)
+    return _search(n, m, n - 2, bordered_matrix)
 
 
 def bordered_matrix(core_row: Sequence[Optional[int]], m: int) -> ButsonMatrix:
     """The bordered-circulant matrix a search row describes."""
-    return ButsonMatrix(m, _bordered_logs(core_row))
+    return ButsonMatrix(m, _bordered_grid(core_row, 0))
 
 
 def circulant_matrix(first_row: Sequence[Optional[int]], m: int) -> ButsonMatrix:
-    return ButsonMatrix(m, _circulant_logs(first_row))
+    return ButsonMatrix(m, _circulant_grid(first_row))
 
 
 def _scaled(row: CoreRow, t: int, m: int) -> CoreRow:

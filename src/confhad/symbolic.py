@@ -38,14 +38,6 @@ class Monomial:
         self.exps: ExpKey = tuple(sorted((s, e) for s, e in merged.items() if e))
 
     @classmethod
-    def one(cls) -> "Monomial":
-        return cls(0)
-
-    @classmethod
-    def unit(cls, ipow: int) -> "Monomial":
-        return cls(ipow)
-
-    @classmethod
     def symbol(cls, name: str, exp: int = 1) -> "Monomial":
         return cls(0, ((name, exp),))
 
@@ -129,7 +121,7 @@ class Monomial:
         return f"Monomial({self})"
 
 
-ONE = Monomial.one()
+ONE = Monomial(0)
 
 # A matrix cell: zero (None) or a unit monomial.
 Entry = Optional[Monomial]

@@ -248,3 +248,18 @@ def test_bh_order_above_the_cap_is_a_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "verify", str(too_big))
     assert (code, out) == (64, "") and "above" in err
     assert _tables.cache_info().currsize == cached  # rejected before any table is built
+
+
+def test_file_errors_are_usage_errors(capsys, tmp_path):
+    not_utf8 = tmp_path / "latin1.sym"
+    not_utf8.write_bytes(b"SYM 1\n\xe9\n")
+    cases = [
+        (["verify", str(tmp_path)], "cannot read"),
+        (["equiv", str(tmp_path), "H12a"], "cannot read"),
+        (["verify", str(not_utf8)], "cannot read"),
+        (["build", "H12a", "--out", str(tmp_path / "missing" / "x")], "cannot write"),
+        (["derive", "O12d", "--out", str(tmp_path)], "cannot write"),
+    ]
+    for argv, reason in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "") and err.startswith(f"confhad: error: {reason} ")

@@ -145,5 +145,53 @@ def test_every_catalog_file_round_trips():
     for name in catalog.names():
         if catalog.kind(name) == "family":
             continue
-        M = catalog.build(name)
-        assert parse_matrix(emit_matrix(M)) == M
+        for M in (catalog.build(name), catalog.build_verified(name)):
+            text = emit_matrix(M)
+            assert parse_matrix(text) == M
+            assert emit_matrix(parse_matrix(text)) == text
+
+
+# (parser, text, the full str of its FormatError); cell errors sit on line 3
+# or later, and blank lines count, so the line prefix is checked too
+FORMAT_ERRORS = [
+    (parse_matrix, "", "line 1: unknown matrix header ''"),
+    (parse_matrix, "XYZ 1\n1", "line 1: unknown matrix header 'XYZ'"),
+    (parse_symbolic, "", "empty input"),
+    (parse_symbolic, "EXP 1\n0", "line 1: expected 'SYM' header, got 'EXP 1'"),
+    (parse_symbolic, "SYM\n0", "line 1: malformed SYM header 'SYM'"),
+    (parse_symbolic, "SYM 2 2\n0 1\n1 0", "line 1: malformed SYM header 'SYM 2 2'"),
+    (parse_symbolic, "SYM two\n0 1\n1 0", "line 1: bad dimension 'two'"),
+    (parse_symbolic, "SYM 0\n", "line 1: bad dimension 0"),
+    (parse_symbolic, "SYM 2\n0 1\n\n1", "line 4: row has 1 cells, expected 2"),
+    (parse_symbolic, "SYM 2\n0 1", "found 1 rows, expected 2"),
+    (parse_symbolic, "SYM 2\n0 1\n1 0\n1 1", "found 3 rows, expected 2"),
+    (parse_symbolic, "SYM 2\n0 1\n\n1 2q", "line 4: invalid factor '2q' in '2q'"),
+    (parse_exponent, "EXP 2 x\n. 0\n0 .", "line 1: malformed EXP header 'EXP 2 x'"),
+    (parse_exponent, "EXP 2\n. a\n\nb-a e+*a", "line 4: bad phase cell 'e+*a'"),
+    (parse_butson, "BH 2\n0 0\n0 1", "line 1: malformed BH header 'BH 2'"),
+    (parse_butson, "BH 2 two\n0 0\n0 1", "line 1: bad root order 'two'"),
+    (parse_butson, "BH 2 0\n0 0\n0 1", "line 1: bad root order 0"),
+    (parse_butson, "BH 2 1025\n0 0\n0 1", "line 1: order 1025 above 1024"),
+    (parse_butson, "BH 2 4\n0 0\n\n0 x", "line 4: bad log entry 'x'"),
+    (parse_butson, "BH 2 4\n0 0\n\n0 1.0", "line 4: bad log entry '1.0'"),
+    (parse_butson, "BH 2 4\n0 0\n\nz 4", "line 4: log 4 outside [0, 4)"),
+    (parse_butson, "BH 2 4\n0 0\n\n-1 z", "line 4: log -1 outside [0, 4)"),
+    (parse_numeric, "NUM 1 1\n1,0", "line 1: malformed NUM header 'NUM 1 1'"),
+    (parse_numeric, "NUM 2\n1,0 0,1\n\n1,0 1.0", "line 4: expected re,im pair, got '1.0'"),
+    (parse_numeric, "NUM 2\n1,0 0,1\n\n1,x 1,0", "line 4: bad complex pair '1,x'"),
+    (parse_numeric, "NUM 2\n1,0 0,1\n\n1,0 1,0,0", "line 4: bad complex pair '1,0,0'"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", FORMAT_ERRORS)
+def test_format_error_text(parse, text, message):
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("cell", ["-+a", "--a", "a-", "a+", "ab", "a3", "a2b", "\u00e9", "+", "3.5", "2*a"])
+def test_exponent_rejects_malformed_phase_cells(cell):
+    with pytest.raises(FormatError) as exc:
+        parse_exponent(f"EXP 2\n. 0\n\n0 {cell}")
+    assert str(exc.value) == f"line 4: bad phase cell {cell!r}"

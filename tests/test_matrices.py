@@ -183,6 +183,8 @@ class TestExponentEvaluation:
         assert parse_phase_cell(".") is None
         assert parse_phase_cell("0") == AffinePhase(0, ())
         assert parse_phase_cell("e+g-a") == AffinePhase(0, (("a", -1), ("e", 1), ("g", 1)))
+        assert parse_phase_cell("-2b+3-a+10") == AffinePhase(13, (("a", -1), ("b", -2)))
+        assert parse_phase_cell("+0a") == AffinePhase(0, ())
         with pytest.raises(ValueError):
             parse_phase_cell("e+*a")
 
