@@ -8,11 +8,13 @@ witness or exhausts the space.  Diagonals range over the matrices' own root
 order, so "inequivalent by exhausted search" is relative to that notion.
 
 One search serves Hadamard and conference inputs.  It dephases B about one
-cell and A about every cell in turn, which removes the diagonals, skips every
-anchor whose dephased matrix has other sorted row or column signatures than
-B's (no witness passes through it), and then matches rows.  The columns a
-B column may map to are held as cells (a set of B columns with the set of A
-columns they may take), which every matched row splits by value.  Two
+cell and A about every cell in turn, which removes the diagonals, and skips
+every anchor whose dephased matrix has other sorted rows or columns than B's
+(no witness passes through it): rows first, from the histograms of row
+differences that the fingerprint and the Butson Gram check also count, and
+only then columns, on the dephased matrix.  Then it matches rows.  The
+columns a B column may map to are held as cells (a set of B columns with the
+set of A columns they may take), which every matched row splits by value.  Two
 prunes refine rows and columns together, after McKay-Piperno ("Practical
 graph isomorphism II", 2014): every cell must split into equal parts on both
 sides, and the unmatched rows of both matrices must have equal multisets of
@@ -35,7 +37,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .matrices import ButsonMatrix, SymbolicMatrix, eval_exact
-from .verify import check_hadamard, check_inverse_orthogonal
+from .verify import _diff_hist, check_hadamard, check_inverse_orthogonal
 
 DEFAULT_BUDGET = 10**8
 
@@ -69,26 +71,24 @@ def _quadruple_counts(M: ButsonMatrix, skip_zeros: bool) -> tuple[dict[int, int]
     For rows i, k the value at columns j, l is d[j] - d[l] with d = row_i - row_k,
     so the counts of a row pair are the cyclic autocorrelation of the histogram
     of d over the s columns where both rows are nonzero, less the s terms j = l.
-    The pair (k, i) negates d, which leaves that autocorrelation unchanged.
+    The pair (k, i) negates d, which leaves that autocorrelation unchanged,
+    and pairs with equal histograms share one autocorrelation, weighted by
+    their number.
     """
     n, m, logs = M.n, M.m, M.logs
+    pairs = Counter(_diff_hist(logs[i], logs[k], m) for i in range(n) for k in range(i + 1, n))
     counts: Counter[int] = Counter()
     skipped = 0
-    for i in range(n):
-        row_i = logs[i]
-        for k in range(i + 1, n):
-            hist = Counter(
-                (a - b) % m for a, b in zip(row_i, logs[k]) if a is not None and b is not None
-            )
-            s = sum(hist.values())
-            if s < n and not skip_zeros:
-                raise ValueError("zero cell in Hadamard fingerprint")
-            skipped += 2 * (n * (n - 1) - s * (s - 1))
-            items = hist.items()
-            for a, ca in items:
-                for b, cb in items:
-                    counts[(a - b) % m] += 2 * ca * cb
-            counts[0] -= 2 * s
+    for hist, w in pairs.items():
+        s = len(hist)
+        if s < n and not skip_zeros:
+            raise ValueError("zero cell in Hadamard fingerprint")
+        skipped += 2 * w * (n * (n - 1) - s * (s - 1))
+        items = Counter(hist).items()
+        for a, ca in items:
+            for b, cb in items:
+                counts[(a - b) % m] += 2 * w * ca * cb
+        counts[0] -= 2 * w * s
     return {v: c for v, c in counts.items() if c}, skipped
 
 
@@ -251,6 +251,32 @@ def _dephased(M: ButsonMatrix, r: int, c: int) -> list[list[int]]:
     return out
 
 
+def _row_shapes(
+    M: ButsonMatrix, r: int, c: int, hists: Sequence[tuple[int, ...]], turned: dict
+) -> list[tuple[int, ...]]:
+    """Every row's values in M dephased about (r, c), as a sorted tuple.
+
+    ``hists[u]`` is ``_diff_hist`` of row u against row r; turned by
+    (M[r][c] - M[u][c]) % m it holds the row's values other than the
+    sentinel, whose count is what is left of n.  A row with a zero in
+    column c is all sentinels: ().  ``turned`` keeps every (histogram,
+    turn) met, for the other anchors in row r.
+    """
+    m, la = M.m, M.logs
+    anchor = la[r][c]
+    out = []
+    for hist, row in zip(hists, la):
+        if row[c] is None:
+            out.append(())
+            continue
+        turn = (anchor - row[c]) % m
+        sig = turned.get((hist, turn))
+        if sig is None:
+            sig = turned[hist, turn] = tuple(sorted([(k + turn) % m for k in hist]))
+        out.append(sig)
+    return out
+
+
 def _check_zero_pattern(M: ButsonMatrix) -> None:
     """ValueError unless the zero cells form a permutation pattern."""
     cols = [row.index(None) if row.count(None) == 1 else -1 for row in M.logs]
@@ -298,7 +324,7 @@ class _Target:
         self.B, self.n = B, n
         self.b0 = b0 = next((j for j, x in enumerate(B.logs[0]) if x is not None), 0)
         lb = _dephased(B, 0, b0)
-        self.sigs = [_row_signature(row) for row in lb]
+        self.sigs = _row_shapes(B, 0, b0, [_diff_hist(row, B.logs[0], B.m) for row in B.logs], {})
         self.row_shape, self.col_shape = sorted(self.sigs), _col_shape(lb)
         self.index = {x: k for k, x in enumerate(sorted({x for row in lb for x in row}))}
         self.counted = max(1, len(self.index) - 1)
@@ -372,13 +398,15 @@ class _Anchor:
 
     __slots__ = ("A", "target", "budget", "masks", "packed", "rows_with", "used", "sigma")
 
-    def __init__(self, A: ButsonMatrix, target: _Target, budget: _Budget, G: list[list[int]], r: int) -> None:
+    def __init__(
+        self, A: ButsonMatrix, target: _Target, budget: _Budget, G: list[list[int]], r: int, sigs: list[tuple]
+    ) -> None:
         n = A.n
         self.A, self.target, self.budget = A, target, budget
         self.masks, self.packed = target.encode(G)
-        self.rows_with: dict[tuple[int, ...], list[int]] = {}  # signature -> G-rows
-        for u, row in enumerate(G):
-            self.rows_with.setdefault(_row_signature(row), []).append(u)
+        self.rows_with: dict[tuple, list[int]] = {}  # row shape -> G-rows
+        for u, sig in enumerate(sigs):
+            self.rows_with.setdefault(sig, []).append(u)
         self.used = [False] * n
         self.used[r] = True
         self.sigma = [r] + [-1] * (n - 1)
@@ -435,9 +463,13 @@ def _search(A: ButsonMatrix, target: _Target, budget: _Budget) -> Optional[Monom
 
     B is dephased about (0, b0) and A about (r, c).  A witness through that
     anchor carries one dephased matrix onto the other by a row and a column
-    permutation, sentinels included, so an anchor whose sorted row or column
-    signatures differ from B's is skipped before it costs a node.  Otherwise
-    rows are assigned in order among A's rows with the same signature.
+    permutation, sentinels included, so an anchor whose sorted rows or
+    columns differ from B's is skipped before it costs a node.  The rows are
+    compared first and without dephasing: when the loop reaches row r it
+    takes the histogram of every row's differences to row r, and at (r, c)
+    row u's sorted values are that histogram turned by A[r][c] - A[u][c].
+    Only an anchor whose rows pass is dephased and its columns compared.
+    Rows are then assigned in order among A's rows with the same values.
 
     The columns are held as cells: a set of B's columns paired with the set
     of A's columns they may map to, first {b0} -> {c} and the rest -> the
@@ -460,18 +492,23 @@ def _search(A: ButsonMatrix, target: _Target, budget: _Budget) -> Optional[Monom
     of its A cell, the representatives the search without cells picked.
     Values that touch a zero are checked only by the witness there.
     """
-    n, la = A.n, A.logs
+    n, m, la = A.n, A.m, A.logs
     anchor_zero = target.B.logs[0][target.b0] is None
     full = (1 << n) - 1
     for r in range(n):
+        hists = [_diff_hist(row, la[r], m) for row in la]
+        turned: dict = {}
         for c in range(n):
             # anchors agree in zero status; only the 1x1 zero matrix has a zero anchor
             if (la[r][c] is None) != anchor_zero:
                 continue
-            G = _dephased(A, r, c)
-            if sorted(map(_row_signature, G)) != target.row_shape or _col_shape(G) != target.col_shape:
+            sigs = _row_shapes(A, r, c, hists, turned)
+            if sorted(sigs) != target.row_shape:
                 continue
-            witness = _Anchor(A, target, budget, G, r).extend(1, [1 << c, full ^ (1 << c)])
+            G = _dephased(A, r, c)
+            if _col_shape(G) != target.col_shape:
+                continue
+            witness = _Anchor(A, target, budget, G, r, sigs).extend(1, [1 << c, full ^ (1 << c)])
             if witness is not None:
                 return witness
     return None

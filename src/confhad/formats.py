@@ -7,6 +7,10 @@ EXP n  -- affine phase cells (`.` for a bullet, `0`, `b-a`, `e+g-a`, ...): an
 BH n m -- Butson log form: integer k for zeta_m^k, `z` for a zero cell
 NUM n  -- complex floats as `re,im` pairs, 17 significant digits
 
+Integers (header fields, BH logs, SYM exponents) are an optional sign and
+ASCII digits, and NUM pairs are ASCII without `_`: Python's int() and float()
+would also take underscores and other scripts' digits.
+
 Parsing is whitespace-insensitive inside rows.  Emitting aligns SYM and EXP
 columns and writes EXP terms in canonical order, constant first and symbols
 sorted, so `b-a` comes back as `-a+b`.  parse(emit(M)) == M structurally unless a NUM
@@ -23,7 +27,7 @@ from .matrices import (
     SymbolicMatrix,
     parse_phase_cell,
 )
-from .symbolic import entry_str, parse_entry
+from .symbolic import entry_str, parse_entry, parse_int
 
 # Largest root order a BH header may name: the exact checks build m rows of
 # phi(m) ints for order m, so time and memory grow as m^2.
@@ -50,7 +54,7 @@ def _split_rows(text: str, kind: str, extra_header: int = 0):
     if len(header) != 2 + extra_header:
         raise FormatError(f"malformed {kind} header {lines[0]!r}", 1)
     try:
-        n = int(header[1])
+        n = parse_int(header[1])
     except ValueError:
         raise FormatError(f"bad dimension {header[1]!r}", 1) from None
     if n <= 0:
@@ -113,7 +117,7 @@ def _butson_cell(text: str, m: int) -> int | None:
     if text == "z":
         return None
     try:
-        k = int(text)
+        k = parse_int(text)
     except ValueError:
         raise ValueError(f"bad log entry {text!r}") from None
     if not 0 <= k < m:
@@ -124,7 +128,7 @@ def _butson_cell(text: str, m: int) -> int | None:
 def parse_butson(text: str, label: str | None = None) -> ButsonMatrix:
     n, header, rows = _split_rows(text, "BH", extra_header=1)
     try:
-        m = int(header[2])
+        m = parse_int(header[2])
     except ValueError:
         raise FormatError(f"bad root order {header[2]!r}", 1) from None
     if m <= 0:
@@ -147,6 +151,8 @@ def _complex_cell(text: str) -> complex:
     re_txt, sep, im_txt = text.partition(",")
     if not sep:
         raise ValueError(f"expected re,im pair, got {text!r}")
+    if not text.isascii() or "_" in text:  # float() takes both
+        raise ValueError(f"bad complex pair {text!r}")
     try:
         return complex(float(re_txt), float(im_txt))
     except ValueError:

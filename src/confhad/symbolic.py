@@ -19,6 +19,15 @@ def is_symbol(name: str) -> bool:
     return len(name) == 1 and name.isascii() and name.islower() and name != "i"
 
 
+def parse_int(text: str) -> int:
+    """An optional sign, then ASCII digits.  Unlike ``int``, it refuses
+    underscores, blanks and non-ASCII digits, with a ValueError."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 # exponent vector: sorted tuple of (symbol, nonzero exponent)
 ExpKey = tuple[tuple[str, int], ...]
 
@@ -161,7 +170,7 @@ def parse_entry(text: str) -> Entry:
         if caret and not etxt:
             raise ValueError(f"missing exponent in factor {part!r}")
         try:
-            e = int(etxt) if etxt else 1
+            e = parse_int(etxt) if etxt else 1
         except ValueError:
             raise ValueError(f"invalid exponent in factor {part!r}") from None
         exps.append((sym, e))

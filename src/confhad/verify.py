@@ -104,21 +104,34 @@ def _gram_symbolic(rows) -> VerificationResult:
     return _ok()
 
 
+def _diff_hist(row, head, m: int) -> tuple[int, ...]:
+    """The histogram of (a - b) % m over the cells where both ``row`` and
+    ``head`` are nonzero, as the sorted tuple of those values: its size is
+    that of a row, not m, which in the equivalence search is the lcm of two
+    root orders."""
+    return tuple(sorted([(a - b) % m for a, b in zip(row, head) if a is not None and b is not None]))
+
+
 def _gram_butson(logs, m: int) -> VerificationResult:
     """sum_k zeta_m^(logs[i][k] - logs[j][k]) == 0 for every row pair i < j,
-    skipping columns where either cell is zero."""
+    skipping columns where either cell is zero.  Pairs with equal
+    histograms share one exact test."""
     n = len(logs)
+    vanishing = set()
     for i in range(n):
         row_i = logs[i]
         for j in range(i + 1, n):
+            hist = _diff_hist(row_i, logs[j], m)
+            if hist in vanishing:
+                continue
             counts = [0] * m
-            for x, y in zip(row_i, logs[j]):
-                if x is not None and y is not None:
-                    counts[(x - y) % m] += 1
+            for k in hist:
+                counts[k] += 1
             if not root_sum_is_zero(counts, m):
                 # the witness shows at most 16 root counts, then how many more
                 detail = counts if m <= 16 else f"{counts[:16]} (+{m - 16} more)"
                 return _fail(i, j, detail, "off-diagonal root sum != 0")
+            vanishing.add(hist)
     return _ok()
 
 

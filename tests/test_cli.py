@@ -263,3 +263,18 @@ def test_file_errors_are_usage_errors(capsys, tmp_path):
     for argv, reason in cases:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (64, "") and err.startswith(f"confhad: error: {reason} ")
+
+
+def test_non_ascii_and_underscored_numbers_are_usage_errors(capsys, tmp_path):
+    cases = {
+        "dim.bh": "BH 1_0 2\n" + "0 " * 10 + "\n",
+        "cell.bh": "BH 1 20\n\u0663\n",
+        "exp.sym": "SYM 1\na^1_0\n",
+        "pair.num": "NUM 1\n1_0,\u0663\n",
+    }
+    for name, text in cases.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path))
+        line = 1 if name == "dim.bh" else 2
+        assert (code, out) == (64, "") and f"{path}: line {line}: " in err

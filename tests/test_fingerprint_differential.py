@@ -23,6 +23,7 @@ from confhad.matrices import (
     to_butson,
 )
 from confhad.symbolic import Monomial
+from confhad.verify import _diff_hist
 
 
 def old_quadruple_counts(M, skip_zeros):
@@ -139,3 +140,11 @@ def test_kernel_matches_old_loop_on_scattered_zeros():
         for m in (1, 2, 3, 4, 6):
             logs = [[None if rng.random() < 0.2 else rng.randrange(m) for _ in range(n)] for _ in range(n)]
             assert_kernel_agrees(ButsonMatrix(m, logs))
+
+
+def test_zero_cell_in_a_histogram_shared_by_several_pairs():
+    # row 0's zero gives the pairs (0, 1), (0, 2), (0, 3) one histogram of
+    # three values, the only one short of n
+    M = ButsonMatrix(2, [[None, 0, 1, 1], [0, 1, 1, 1], [0, 0, 0, 1], [1, 0, 1, 0]])
+    assert len({_diff_hist(M.logs[0], M.logs[k], M.m) for k in (1, 2, 3)}) == 1
+    assert assert_kernel_agrees(M)

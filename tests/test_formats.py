@@ -117,6 +117,13 @@ def test_numeric_emit_is_fixed_by_the_round_trip():
     assert emit_matrix(parse_matrix(text)) == text
 
 
+def test_signed_integers_and_special_floats_still_parse():
+    assert parse_butson("BH 2 4\n0 +3\n-0 z").logs == ((0, 3), (0, None))
+    assert str(parse_symbolic("SYM 1\n-i*a^-2*b^+3")[0][0]) == "-i*a^-2*b^3"
+    cells = parse_numeric("NUM 2\nnan,inf -Infinity,1e-5\n.5,+2 1E3,-0.0").rows
+    assert str(cells) == "(((nan+infj), (-inf+1e-05j)), ((0.5+2j), (1000-0j)))"
+
+
 def test_numeric_rejects_malformed():
     with pytest.raises(FormatError, match="re,im"):
         parse_numeric("NUM 1\n1.0")
@@ -180,6 +187,18 @@ FORMAT_ERRORS = [
     (parse_numeric, "NUM 2\n1,0 0,1\n\n1,0 1.0", "line 4: expected re,im pair, got '1.0'"),
     (parse_numeric, "NUM 2\n1,0 0,1\n\n1,x 1,0", "line 4: bad complex pair '1,x'"),
     (parse_numeric, "NUM 2\n1,0 0,1\n\n1,0 1,0,0", "line 4: bad complex pair '1,0,0'"),
+    # int() and float() take underscores and non-ASCII digits; the formats do not
+    (parse_butson, "BH 1_0 2\n" + "0 " * 10, "line 1: bad dimension '1_0'"),
+    (parse_butson, "BH 2 2_0\n0 0\n0 1", "line 1: bad root order '2_0'"),
+    (parse_butson, "BH 2 \u0664\n0 0\n0 1", "line 1: bad root order '\u0664'"),
+    (parse_butson, "BH 2 4\n0 0\n\n0 \u0663", "line 4: bad log entry '\u0663'"),
+    (parse_butson, "BH 2 20\n0 0\n\n0 1_0", "line 4: bad log entry '1_0'"),
+    (parse_symbolic, "SYM \u0661\n1", "line 1: bad dimension '\u0661'"),
+    (parse_symbolic, "SYM 1\na^1_0", "line 2: invalid exponent in factor 'a^1_0'"),
+    (parse_symbolic, "SYM 1\na^\u0662", "line 2: invalid exponent in factor 'a^\u0662'"),
+    (parse_numeric, "NUM 1\n1_0,\u0663", "line 2: bad complex pair '1_0,\u0663'"),
+    (parse_numeric, "NUM 2\n1,0 0,1\n\n1,0 0,1_0", "line 4: bad complex pair '0,1_0'"),
+    (parse_numeric, "NUM 2\n1,0 0,1\n\n1,0 \u0661,0", "line 4: bad complex pair '\u0661,0'"),
 ]
 
 

@@ -12,7 +12,9 @@ with columns held as cells and pruned by cell sizes and row profiles.  On
 every pair all sides must reach the same status and every witness must map A
 onto B.  A zero-free pair may cost no more nodes than the former Hadamard
 search; every pair must give the anchored oracles' witness at no more nodes,
-and exactly the refined oracle's node count.
+and exactly the refined oracle's node count.  The anchor screen is also
+checked alone: the anchors whose turned row histograms and then dephased
+columns match B's must be exactly those ``same_shape`` keeps.
 """
 
 import random
@@ -26,7 +28,10 @@ from confhad import catalog
 from confhad.equivalence import (
     MonomialTransform,
     _Budget,
+    _col_shape,
+    _dephased,
     _OutOfBudget,
+    _row_shapes,
     _row_signature,
     _search,
     _Target,
@@ -35,6 +40,7 @@ from confhad.equivalence import (
 from confhad.matrices import ButsonMatrix, bordered_circulant, to_butson
 from confhad.search import bordered_matrix, search_bordered_circulant
 from confhad.symbolic import Monomial
+from confhad.verify import _diff_hist
 
 BUDGET = 10**6
 
@@ -532,3 +538,69 @@ def test_bordered_solutions():
     solutions = [bordered_matrix(row, 4) for row in search_bordered_circulant(6, 4)]
     statuses = [assert_searches_agree(a, b) for a in solutions for b in solutions]
     assert {"equivalent", "inequivalent"} == set(statuses)
+
+
+def screened_anchors(A, B):
+    """The anchors of A that ``_search`` dephases and searches below: row
+    shapes by turned histograms first, then column shapes of the dephased
+    matrix.  Also counts the anchors only the column test rejects."""
+    target = _Target(B)
+    anchor_zero = B.logs[0][target.b0] is None
+    kept, by_columns = [], 0
+    for r in range(A.n):
+        hists = [_diff_hist(row, A.logs[r], A.m) for row in A.logs]
+        turned = {}
+        for c in range(A.n):
+            if (A.logs[r][c] is None) != anchor_zero:
+                continue
+            if sorted(_row_shapes(A, r, c, hists, turned)) != target.row_shape:
+                continue
+            if _col_shape(_dephased(A, r, c)) != target.col_shape:
+                by_columns += 1
+                continue
+            kept.append((r, c))
+    return kept, by_columns
+
+
+def oracle_anchors(A, B):
+    """The anchors whose dephased matrix has B's shape by ``same_shape``."""
+    b0 = next((j for j, x in enumerate(B.logs[0]) if x is not None), 0)
+    lb = parent_dephased(B, 0, b0)
+    return [
+        (r, c)
+        for r in range(A.n)
+        for c in range(A.n)
+        if (A.logs[r][c] is None) == (B.logs[0][b0] is None) and same_shape(parent_dephased(A, r, c), lb)
+    ]
+
+
+def assert_screen_agrees(a, b):
+    """Returns (anchors kept, anchors rejected by columns only, anchors)."""
+    m = lcm(a.m, b.m)
+    A, B = a.lift(m), b.lift(m)
+    kept, by_columns = screened_anchors(A, B)
+    assert kept == oracle_anchors(A, B)
+    return len(kept), by_columns, A.n * A.n
+
+
+def row_swapped(C, rng):
+    rows = list(range(C.n))
+    i, j = rng.sample(rows, 2)
+    rows[i], rows[j] = j, i
+    return ButsonMatrix(C.m, [C.logs[r] for r in rows])
+
+
+def test_anchor_screen_keeps_the_oracles_anchors():
+    rng = random.Random(3307)
+    catalog_pairs = combinations_with_replacement("abcdefg", 2)
+    pairs = [(butson(k + x), butson(k + y)) for x, y in catalog_pairs for k in ("H12", "C6")]
+    pairs += [(M, image(M, rng)) for M in (butson(k + x) for k in ("H12", "C6") for x in "abcdefg")]
+    for q in (5, 13):
+        C = paley_core(q)
+        pairs += [(C, row_swapped(C, rng)), (row_swapped(C, rng), C), (C, image(C, rng))]
+    for _ in range(150):
+        n, m, zeros = rng.randint(1, 6), rng.randint(1, 4), rng.random() < 0.7
+        A = random_matrix(n, m, zeros, rng)
+        pairs += [(A, image(A, rng)), (A, random_matrix(n, m, zeros, rng))]
+    kept, by_columns, anchors = map(sum, zip(*(assert_screen_agrees(a, b) for a, b in pairs)))
+    assert 0 < kept < anchors and by_columns > 0  # both tests reject somewhere
