@@ -33,6 +33,7 @@ from .matrices import (
     eval_complex,
     to_butson,
 )
+from .symbolic import parse_float, parse_int
 from .verify import DEFAULT_TOL, check_conference, check_hadamard, check_inverse_orthogonal
 
 USAGE_ERROR = 64
@@ -49,10 +50,18 @@ class _UsageError(Exception):
     pass
 
 
+def _integer(text: str) -> int:
+    """argparse type of --n, --roots and --seed: ASCII digits, as in files."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _node_budget(text: str) -> int:
     """argparse type of --budget: a positive search node count."""
     try:
-        budget = int(text)
+        budget = parse_int(text)
     except ValueError:
         budget = 0
     if budget < 1:
@@ -63,7 +72,7 @@ def _node_budget(text: str) -> int:
 def _tolerance(text: str) -> float:
     """argparse type of --tol: a finite positive float."""
     try:
-        tol = float(text)
+        tol = parse_float(text)
     except ValueError:
         tol = math.nan
     if not 0 < tol < math.inf:
@@ -100,7 +109,7 @@ def _parse_phases(text: Optional[str], symbols: Sequence[str]) -> dict[str, floa
             f"expected {len(syms)} phase values for symbols {','.join(syms)}, got {len(parts)}"
         )
     try:
-        phases = {s: float(p) for s, p in zip(syms, parts)}
+        phases = {s: parse_float(p) for s, p in zip(syms, parts)}
     except ValueError:
         raise _UsageError(f"bad phase list {text!r}") from None
     if not all(map(math.isfinite, phases.values())):
@@ -317,7 +326,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--verified", action="store_true", help="apply certified overrides")
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--phases")
-    p.add_argument("--seed", type=int, default=catalog.DEFAULT_SEED)
+    p.add_argument("--seed", type=_integer, default=catalog.DEFAULT_SEED)
 
     p = sub.add_parser("equiv", help="decide monomial equivalence")
     p.add_argument("a")
@@ -328,15 +337,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("target")
 
     p = sub.add_parser("search", help="exhaustive circulant conference search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--roots", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--roots", type=_integer, required=True)
     p.add_argument("--bordered", action="store_true")
     p.add_argument("--reduce", action="store_true")
 
     p = sub.add_parser("reconcile", help="printed-vs-derived reports")
     p.add_argument("name", nargs="?")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--seed", type=int, default=catalog.DEFAULT_SEED)
+    p.add_argument("--seed", type=_integer, default=catalog.DEFAULT_SEED)
 
     p = sub.add_parser("specialize", help="classify sign specializations")
     p.add_argument("name")

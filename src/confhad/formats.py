@@ -27,7 +27,7 @@ from .matrices import (
     SymbolicMatrix,
     parse_phase_cell,
 )
-from .symbolic import entry_str, parse_entry, parse_int
+from .symbolic import entry_str, parse_entry, parse_float, parse_int
 
 # Largest root order a BH header may name: the exact checks build m rows of
 # phi(m) ints for order m, so time and memory grow as m^2.
@@ -151,10 +151,8 @@ def _complex_cell(text: str) -> complex:
     re_txt, sep, im_txt = text.partition(",")
     if not sep:
         raise ValueError(f"expected re,im pair, got {text!r}")
-    if not text.isascii() or "_" in text:  # float() takes both
-        raise ValueError(f"bad complex pair {text!r}")
     try:
-        return complex(float(re_txt), float(im_txt))
+        return complex(parse_float(re_txt), parse_float(im_txt))
     except ValueError:
         raise ValueError(f"bad complex pair {text!r}") from None
 

@@ -28,6 +28,14 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
+def parse_float(text: str) -> float:
+    """``float`` over ASCII text without underscores, which ``float`` would
+    take; 'nan' and 'inf' still read.  Raises ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid number {text!r}")
+    return float(text)
+
+
 # exponent vector: sorted tuple of (symbol, nonzero exponent)
 ExpKey = tuple[tuple[str, int], ...]
 

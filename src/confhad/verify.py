@@ -112,6 +112,14 @@ def _diff_hist(row, head, m: int) -> tuple[int, ...]:
     return tuple(sorted([(a - b) % m for a, b in zip(row, head) if a is not None and b is not None]))
 
 
+def _hist_counts(hist: tuple[int, ...], m: int) -> list[int]:
+    """A ``_diff_hist`` histogram as its count vector over the m-th roots."""
+    counts = [0] * m
+    for k in hist:
+        counts[k] += 1
+    return counts
+
+
 def _gram_butson(logs, m: int) -> VerificationResult:
     """sum_k zeta_m^(logs[i][k] - logs[j][k]) == 0 for every row pair i < j,
     skipping columns where either cell is zero.  Pairs with equal
@@ -124,9 +132,7 @@ def _gram_butson(logs, m: int) -> VerificationResult:
             hist = _diff_hist(row_i, logs[j], m)
             if hist in vanishing:
                 continue
-            counts = [0] * m
-            for k in hist:
-                counts[k] += 1
+            counts = _hist_counts(hist, m)
             if not root_sum_is_zero(counts, m):
                 # the witness shows at most 16 root counts, then how many more
                 detail = counts if m <= 16 else f"{counts[:16]} (+{m - 16} more)"

@@ -228,6 +228,26 @@ def test_usage_errors(capsys):
         assert captured.out == "" and "--tol" in captured.err
 
 
+def test_numeric_options_take_ascii_digits_only(capsys):
+    # int() and float() take underscores and non-ASCII digits; the options
+    # read numbers as strictly as the file formats do
+    cases = [
+        (["search", "--n", "\u0666", "--roots", "\u0664"], "--n"),
+        (["equiv", "H12a", "H12b", "--budget", "1_0"], "--budget"),
+        (["reconcile", "--all", "--seed", "\u0663"], "--seed"),
+        (["verify", "H12a", "--numeric", "--tol", "1_0"], "--tol"),
+    ]
+    for argv, option in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (64, "") and option in captured.err
+    for phases in ("0,\u0663,0,0,0,0", "0,1_0,0,0,0,0"):
+        for command in ("build", "verify"):
+            code, out, err = run(capsys, command, "D12a", "--phases", phases)
+            assert (code, out) == (64, "") and "phase" in err
+
+
 def test_non_finite_phases_are_usage_errors(capsys):
     for value in ("nan", "inf", "-inf"):
         for command in ("build", "verify"):
