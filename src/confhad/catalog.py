@@ -18,7 +18,6 @@ from functools import lru_cache
 from importlib import resources
 from typing import Mapping, Optional, Sequence, Union
 
-from .equivalence import EquivalenceVerdict, are_equivalent
 from .formats import parse_exponent, parse_symbolic
 from .matrices import (
     ComplexMatrix,
@@ -34,7 +33,7 @@ from .matrices import (
     to_butson,
     transpose,
 )
-from .symbolic import Monomial, parse_entry
+from .symbolic import Monomial, entry_str, parse_entry
 from .verify import (
     VerificationResult,
     check_conference,
@@ -140,10 +139,10 @@ def build(name: str) -> Union[SymbolicMatrix, ExponentMatrix, ComplexMatrix]:
     """The verbatim printed transcription; families evaluate at zero phases."""
     k = kind(name)
     if k == "exponent":
-        return parse_exponent(_data_text(f"{name}.exp"), name)
+        return parse_exponent(_data_text(f"{name}.exp"))
     if k == "family":
         return family_matrix(name, {})
-    return parse_symbolic(_data_text(f"{name}.sym"), name)
+    return parse_symbolic(_data_text(f"{name}.sym"))
 
 
 def _apply_repairs(grid, fixes: Sequence[CellRepair], parse_cell) -> list[list]:
@@ -171,8 +170,8 @@ def build_verified(name: str) -> Union[SymbolicMatrix, ExponentMatrix]:
     if not fixes:
         return printed
     if isinstance(printed, ExponentMatrix):
-        return ExponentMatrix(_apply_repairs(printed.cells, fixes, parse_phase_cell), printed.label)
-    return SymbolicMatrix(_apply_repairs(printed.rows, fixes, parse_entry), printed.label)
+        return ExponentMatrix(_apply_repairs(printed.cells, fixes, parse_phase_cell))
+    return SymbolicMatrix(_apply_repairs(printed.rows, fixes, parse_entry))
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +279,7 @@ def derive(name: str) -> SymbolicMatrix:
     expr = _recipes().get(name)
     if expr is None:
         raise ValueError(f"{name} is printed-only (no recipe)")
-    out = _eval_recipe(expr)
-    return out.relabel(f"{name}:derived")
+    return _eval_recipe(expr)
 
 
 def family_matrix(
@@ -302,7 +300,7 @@ def family_matrix(
         if sym not in full:
             raise KeyError(f"{sym!r} is not a phase symbol of {r_name}")
         full[sym] = float(value)
-    return eval_exponent_form(base, expo, full, label=name)
+    return eval_exponent_form(base, expo, full)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +316,6 @@ class ReconciliationReport:
     derived: Optional[VerificationResult] = None
     repairs: tuple[CellRepair, ...] = ()
     first_diff: Optional[tuple[int, int, str, str]] = None
-    equivalence: Optional[EquivalenceVerdict] = None
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -339,10 +336,6 @@ class ReconciliationReport:
         if self.first_diff is not None:
             i, j, a, b = self.first_diff
             out.append(f"first diff: ({i},{j}) printed {a} vs derived {b}")
-        if self.equivalence is not None:
-            out.append(
-                f"equivalent: {self.equivalence.status} ({self.equivalence.reason})"
-            )
         for note in self.notes:
             out.append(f"note:       {note}")
         return out
@@ -352,10 +345,6 @@ class ReconciliationReport:
 
 
 def _first_diff_symbolic(a: SymbolicMatrix, b: SymbolicMatrix):
-    if a.n != b.n:
-        return (0, 0, f"{a.n}x{a.n}", f"{b.n}x{b.n}")
-    from .symbolic import entry_str
-
     for i in range(a.n):
         for j in range(a.n):
             if a.rows[i][j] != b.rows[i][j]:
@@ -415,23 +404,18 @@ def fit_reparametrization(
     return mapping, tuple(perm)
 
 
-def _all_ones(matrix: SymbolicMatrix) -> dict[str, str]:
-    return {s: "1" for s in matrix.symbols()}
-
-
 def _family_spot_check(
-    base: SymbolicMatrix, expo: ExponentMatrix, seed: int, draws: int = 3
+    base: SymbolicMatrix, expo: ExponentMatrix, seed: int
 ) -> VerificationResult:
-    """Hadamard residual of the family at seeded random phases."""
+    """Hadamard residual of the family at three seeded random phase points:
+    the first failing draw, else the last."""
     rng = random.Random(seed)
-    worst: Optional[VerificationResult] = None
-    for _ in range(draws):
+    for _ in range(3):
         phases = {s: rng.uniform(-3.2, 3.2) for s in sorted(expo.symbols())}
         result = check_hadamard(eval_exponent_form(base, expo, phases))
         if not result:
-            return result
-        worst = result
-    return worst if worst is not None else VerificationResult(True)
+            break
+    return result
 
 
 def reconcile(name: str, seed: int = DEFAULT_SEED) -> ReconciliationReport:
@@ -482,8 +466,6 @@ def reconcile(name: str, seed: int = DEFAULT_SEED) -> ReconciliationReport:
 
     if report.first_diff is None:
         report.notes.append("verified printed form equals derived form entrywise")
-    elif k == "hadamard":
-        report.equivalence = are_equivalent(to_butson(verified), to_butson(derived_m))
     elif k == "orthogonal":
         fit = fit_reparametrization(derived_m, verified)
         if fit is not None:
@@ -493,14 +475,6 @@ def reconcile(name: str, seed: int = DEFAULT_SEED) -> ReconciliationReport:
                 f"printed equals derived under the substitution {sub_txt} "
                 f"with derived rows reordered as {list(perm)}"
             )
-        else:
-            lhs = substitute(verified, _all_ones(verified))
-            rhs = substitute(derived_m, _all_ones(derived_m))
-            report.equivalence = are_equivalent(to_butson(lhs), to_butson(rhs))
-            report.notes.append("equivalence compared at the all-ones specialization")
-    elif k == "conference":
-        if verified.is_constant and derived_m.is_constant:
-            report.equivalence = are_equivalent(to_butson(verified), to_butson(derived_m))
     return report
 
 

@@ -94,7 +94,7 @@ def _load_target(target: str, verified: bool) -> AnyMatrix:
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {target}: {exc}") from None
     try:
-        return parse_matrix(text, label=path.name)
+        return parse_matrix(text)
     except FormatError as exc:
         raise _UsageError(f"{target}: {exc}") from None
 
@@ -103,7 +103,9 @@ def _parse_phases(text: Optional[str], symbols: Sequence[str]) -> dict[str, floa
     syms = sorted(symbols)
     if text is None:
         return {s: 0.0 for s in syms}
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise _UsageError(f"empty entry in phase list {text!r}")
     if len(parts) != len(syms):
         raise _UsageError(
             f"expected {len(syms)} phase values for symbols {','.join(syms)}, got {len(parts)}"
@@ -117,8 +119,8 @@ def _parse_phases(text: Optional[str], symbols: Sequence[str]) -> dict[str, floa
     return phases
 
 
-def _exact_matrix(target: str, verified: bool = True) -> ButsonMatrix:
-    matrix = _load_target(target, verified)
+def _exact_matrix(target: str) -> ButsonMatrix:
+    matrix = _load_target(target, verified=True)
     if isinstance(matrix, ButsonMatrix):
         return matrix
     if isinstance(matrix, SymbolicMatrix):

@@ -93,9 +93,9 @@ def _emit_aligned(header: str, cells: list[list[str]]) -> str:
     return f"{header}\n{body}\n"
 
 
-def parse_symbolic(text: str, label: str | None = None) -> SymbolicMatrix:
+def parse_symbolic(text: str) -> SymbolicMatrix:
     _, _, rows = _split_rows(text, "SYM")
-    return SymbolicMatrix(_parse_cells(rows, parse_entry), label)
+    return SymbolicMatrix(_parse_cells(rows, parse_entry))
 
 
 def emit_symbolic(matrix: SymbolicMatrix) -> str:
@@ -103,9 +103,9 @@ def emit_symbolic(matrix: SymbolicMatrix) -> str:
     return _emit_aligned(f"SYM {matrix.n}", cells)
 
 
-def parse_exponent(text: str, label: str | None = None) -> ExponentMatrix:
+def parse_exponent(text: str) -> ExponentMatrix:
     _, _, rows = _split_rows(text, "EXP")
-    return ExponentMatrix(_parse_cells(rows, parse_phase_cell), label)
+    return ExponentMatrix(_parse_cells(rows, parse_phase_cell))
 
 
 def emit_exponent(matrix: ExponentMatrix) -> str:
@@ -125,7 +125,7 @@ def _butson_cell(text: str, m: int) -> int | None:
     return k
 
 
-def parse_butson(text: str, label: str | None = None) -> ButsonMatrix:
+def parse_butson(text: str) -> ButsonMatrix:
     n, header, rows = _split_rows(text, "BH", extra_header=1)
     try:
         m = parse_int(header[2])
@@ -135,7 +135,7 @@ def parse_butson(text: str, label: str | None = None) -> ButsonMatrix:
         raise FormatError(f"bad root order {m}", 1)
     if m > MAX_BUTSON_ORDER:
         raise FormatError(f"order {m} above {MAX_BUTSON_ORDER}", 1)
-    return ButsonMatrix(m, _parse_cells(rows, lambda c: _butson_cell(c, m)), label)
+    return ButsonMatrix(m, _parse_cells(rows, lambda c: _butson_cell(c, m)))
 
 
 def emit_butson(matrix: ButsonMatrix) -> str:
@@ -157,9 +157,9 @@ def _complex_cell(text: str) -> complex:
         raise ValueError(f"bad complex pair {text!r}") from None
 
 
-def parse_numeric(text: str, label: str | None = None) -> ComplexMatrix:
+def parse_numeric(text: str) -> ComplexMatrix:
     _, _, rows = _split_rows(text, "NUM")
-    return ComplexMatrix(_parse_cells(rows, _complex_cell), label)
+    return ComplexMatrix(_parse_cells(rows, _complex_cell))
 
 
 def emit_numeric(matrix: ComplexMatrix) -> str:
@@ -169,17 +169,17 @@ def emit_numeric(matrix: ComplexMatrix) -> str:
     return f"NUM {matrix.n}\n{body}\n"
 
 
-def parse_matrix(text: str, label: str | None = None) -> AnyMatrix:
+def parse_matrix(text: str) -> AnyMatrix:
     """Dispatch on the header keyword."""
     head = text.split(None, 1)[0] if text.split() else ""
     if head == "SYM":
-        return parse_symbolic(text, label)
+        return parse_symbolic(text)
     if head == "EXP":
-        return parse_exponent(text, label)
+        return parse_exponent(text)
     if head == "BH":
-        return parse_butson(text, label)
+        return parse_butson(text)
     if head == "NUM":
-        return parse_numeric(text, label)
+        return parse_numeric(text)
     raise FormatError(f"unknown matrix header {head!r}", 1)
 
 

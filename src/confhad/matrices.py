@@ -25,9 +25,9 @@ from .symbolic import Entry, Monomial, ONE, entry_str, parse_entry
 class SymbolicMatrix:
     """Square grid of unit-monomial cells (None marks a zero cell)."""
 
-    __slots__ = ("n", "rows", "label")
+    __slots__ = ("n", "rows")
 
-    def __init__(self, rows: Iterable[Iterable[Entry]], label: str | None = None) -> None:
+    def __init__(self, rows: Iterable[Iterable[Entry]]) -> None:
         grid = tuple(tuple(row) for row in rows)
         n = len(grid)
         if n == 0 or any(len(row) != n for row in grid):
@@ -38,11 +38,10 @@ class SymbolicMatrix:
                     raise TypeError(f"bad cell {cell!r}")
         self.n = n
         self.rows = grid
-        self.label = label
 
     @classmethod
-    def from_strings(cls, rows: Iterable[Iterable[str]], label: str | None = None) -> "SymbolicMatrix":
-        return cls([[parse_entry(c) for c in row] for row in rows], label)
+    def from_strings(cls, rows: Iterable[Iterable[str]]) -> "SymbolicMatrix":
+        return cls([[parse_entry(c) for c in row] for row in rows])
 
     def __getitem__(self, i: int) -> tuple[Entry, ...]:
         return self.rows[i]
@@ -68,12 +67,8 @@ class SymbolicMatrix:
     def has_zero(self) -> bool:
         return any(cell is None for row in self.rows for cell in row)
 
-    def relabel(self, label: str | None) -> "SymbolicMatrix":
-        return SymbolicMatrix(self.rows, label)
-
     def __repr__(self) -> str:
-        tag = f" {self.label}" if self.label else ""
-        return f"<SymbolicMatrix{tag} {self.n}x{self.n}>"
+        return f"<SymbolicMatrix {self.n}x{self.n}>"
 
     def __str__(self) -> str:
         cells = [[entry_str(c) for c in row] for row in self.rows]
@@ -155,16 +150,15 @@ def parse_phase_cell(text: str) -> PhaseCell:
 class ExponentMatrix:
     """Square grid of affine phase cells; None cells are printed bullets."""
 
-    __slots__ = ("n", "cells", "label")
+    __slots__ = ("n", "cells")
 
-    def __init__(self, cells: Iterable[Iterable[PhaseCell]], label: str | None = None) -> None:
+    def __init__(self, cells: Iterable[Iterable[PhaseCell]]) -> None:
         grid = tuple(tuple(row) for row in cells)
         n = len(grid)
         if n == 0 or any(len(row) != n for row in grid):
             raise ValueError("matrix must be square and nonempty")
         self.n = n
         self.cells = grid
-        self.label = label
 
     def __getitem__(self, i: int) -> tuple[PhaseCell, ...]:
         return self.cells[i]
@@ -188,21 +182,15 @@ class ExponentMatrix:
         return 0.0 if cell is None else cell(phases)
 
     def __repr__(self) -> str:
-        tag = f" {self.label}" if self.label else ""
-        return f"<ExponentMatrix{tag} {self.n}x{self.n}>"
+        return f"<ExponentMatrix {self.n}x{self.n}>"
 
 
 class ButsonMatrix:
     """Exact matrix over m-th roots of unity; cells are logs, None is zero."""
 
-    __slots__ = ("n", "m", "logs", "label")
+    __slots__ = ("n", "m", "logs")
 
-    def __init__(
-        self,
-        m: int,
-        logs: Iterable[Iterable[Optional[int]]],
-        label: str | None = None,
-    ) -> None:
+    def __init__(self, m: int, logs: Iterable[Iterable[Optional[int]]]) -> None:
         if m < 1:
             raise ValueError("root order must be positive")
         grid = tuple(
@@ -214,7 +202,6 @@ class ButsonMatrix:
         self.n = n
         self.m = m
         self.logs = grid
-        self.label = label
 
     def __getitem__(self, i: int) -> tuple[Optional[int], ...]:
         return self.logs[i]
@@ -249,7 +236,6 @@ class ButsonMatrix:
         return ButsonMatrix(
             big,
             [[None if c is None else c * step for c in row] for row in self.logs],
-            self.label,
         )
 
     def reduce_order(self) -> "ButsonMatrix":
@@ -262,34 +248,30 @@ class ButsonMatrix:
         return ButsonMatrix(
             small,
             [[None if c is None else c // step for c in row] for row in self.logs],
-            self.label,
         )
 
     def to_complex(self) -> "ComplexMatrix":
         z = cmath.exp(2j * cmath.pi / self.m)
         return ComplexMatrix(
-            [[0j if c is None else z**c for c in row] for row in self.logs],
-            self.label,
+            [[0j if c is None else z**c for c in row] for row in self.logs]
         )
 
     def __repr__(self) -> str:
-        tag = f" {self.label}" if self.label else ""
-        return f"<ButsonMatrix{tag} {self.n}x{self.n} order {self.m}>"
+        return f"<ButsonMatrix {self.n}x{self.n} order {self.m}>"
 
 
 class ComplexMatrix:
     """Square grid of floating-point complex cells."""
 
-    __slots__ = ("n", "rows", "label")
+    __slots__ = ("n", "rows")
 
-    def __init__(self, rows: Iterable[Iterable[complex]], label: str | None = None) -> None:
+    def __init__(self, rows: Iterable[Iterable[complex]]) -> None:
         grid = tuple(tuple(complex(c) for c in row) for row in rows)
         n = len(grid)
         if n == 0 or any(len(row) != n for row in grid):
             raise ValueError("matrix must be square and nonempty")
         self.n = n
         self.rows = grid
-        self.label = label
 
     def __getitem__(self, i: int) -> tuple[complex, ...]:
         return self.rows[i]
@@ -301,8 +283,7 @@ class ComplexMatrix:
         return hash(self.rows)
 
     def __repr__(self) -> str:
-        tag = f" {self.label}" if self.label else ""
-        return f"<ComplexMatrix{tag} {self.n}x{self.n}>"
+        return f"<ComplexMatrix {self.n}x{self.n}>"
 
 
 AnyMatrix = Union[SymbolicMatrix, ExponentMatrix, ButsonMatrix, ComplexMatrix]
@@ -325,26 +306,25 @@ def _bordered_grid(core_row: Sequence, one) -> list[list]:
     return [[None] + [one] * len(core)] + [[one, *row] for row in core]
 
 
-def circulant(first_row: Sequence[Entry], label: str | None = None) -> SymbolicMatrix:
+def circulant(first_row: Sequence[Entry]) -> SymbolicMatrix:
     """Square matrix whose every row is the right cyclic shift of the last."""
     if len(first_row) == 0:
         raise ValueError("first row must be nonempty")
-    return SymbolicMatrix(_circulant_grid(first_row), label)
+    return SymbolicMatrix(_circulant_grid(first_row))
 
 
-def bordered_circulant(core_row: Sequence[Entry], label: str | None = None) -> SymbolicMatrix:
+def bordered_circulant(core_row: Sequence[Entry]) -> SymbolicMatrix:
     """Circulant core framed by all-ones first row/column and a corner zero."""
     if not core_row:
         raise ValueError("core row must be nonempty")
     if core_row[0] is not None:
         raise ValueError("core row must start with the zero cell")
-    return SymbolicMatrix(_bordered_grid(core_row, ONE), label)
+    return SymbolicMatrix(_bordered_grid(core_row, ONE))
 
 
 def transpose(matrix: SymbolicMatrix) -> SymbolicMatrix:
     return SymbolicMatrix(
-        [[matrix.rows[j][i] for j in range(matrix.n)] for i in range(matrix.n)],
-        matrix.label,
+        [[matrix.rows[j][i] for j in range(matrix.n)] for i in range(matrix.n)]
     )
 
 
@@ -371,7 +351,7 @@ def conference_inverse(matrix: SymbolicMatrix) -> SymbolicMatrix:
     return SymbolicMatrix(out)
 
 
-def double_orthogonal(C: SymbolicMatrix, label: str | None = None) -> SymbolicMatrix:
+def double_orthogonal(C: SymbolicMatrix) -> SymbolicMatrix:
     """[[C+I, Cinv-I], [C-I, -Cinv-I]] for a conference-shaped C.
 
     Cinv is the conference inverse, so free parameters are allowed; for a
@@ -396,7 +376,7 @@ def double_orthogonal(C: SymbolicMatrix, label: str | None = None) -> SymbolicMa
             cell = Cinv.rows[i][j]
             bottom.append(-ONE if i == j else -cell)
         rows.append(bottom)
-    return SymbolicMatrix(rows, label)
+    return SymbolicMatrix(rows)
 
 
 def scale_columns(matrix: SymbolicMatrix, diag: Sequence[Entry]) -> SymbolicMatrix:
@@ -408,8 +388,7 @@ def scale_columns(matrix: SymbolicMatrix, diag: Sequence[Entry]) -> SymbolicMatr
         [
             [None if cell is None else cell * diag[j] for j, cell in enumerate(row)]
             for row in matrix.rows
-        ],
-        matrix.label,
+        ]
     )
 
 
@@ -425,8 +404,7 @@ def substitute(matrix: SymbolicMatrix, mapping: Mapping[str, Monomial | str]) ->
         [
             [None if cell is None else cell.substitute(parsed) for cell in row]
             for row in matrix.rows
-        ],
-        matrix.label,
+        ]
     )
 
 
@@ -448,14 +426,13 @@ def dephase(matrix: SymbolicMatrix) -> SymbolicMatrix:
         out.append(
             [matrix.rows[i][j] * head_inv * col_fix[j] for j in range(matrix.n)]
         )
-    return SymbolicMatrix(out, matrix.label)
+    return SymbolicMatrix(out)
 
 
 def eval_exponent_form(
     base: SymbolicMatrix,
     exponents: ExponentMatrix,
     phases: Mapping[str, float],
-    label: str | None = None,
 ) -> ComplexMatrix:
     """Entrywise base[i][j] * exp(i * exponents[i][j](phases)).
 
@@ -474,55 +451,52 @@ def eval_exponent_form(
                 for j, cell in enumerate(row)
             ]
             for i, row in enumerate(base.rows)
-        ],
-        label,
+        ]
     )
 
 
-def to_butson(matrix: SymbolicMatrix, label: str | None = None) -> ButsonMatrix:
+def to_butson(matrix: SymbolicMatrix) -> ButsonMatrix:
     """Exact numeric form of a constant matrix (4th roots), order-reduced."""
     if not matrix.is_constant:
         raise ValueError("matrix has free symbols")
     logs = [
         [None if cell is None else cell.ipow for cell in row] for row in matrix.rows
     ]
-    return ButsonMatrix(4, logs, label or matrix.label).reduce_order()
+    return ButsonMatrix(4, logs).reduce_order()
 
 
 def eval_exact(
-    matrix: SymbolicMatrix,
-    assignment: Mapping[str, int],
-    order: int,
-    label: str | None = None,
+    matrix: SymbolicMatrix, assignment: Mapping[str, int], order: int
 ) -> ButsonMatrix:
-    """Evaluate at root-of-unity parameter values given as logs base zeta_order."""
-    big = order
-    for row in matrix.rows:
-        for cell in row:
-            if cell is not None and cell.ipow:
-                big = lcm(big, 2 if cell.ipow == 2 else 4)
+    """Evaluate at root-of-unity parameter values given as logs base zeta_order.
+
+    Every cell is a log base zeta_big, big = lcm(order, 4), which holds the
+    parameter values and the i^k coefficients alike; the result is
+    order-reduced.
+    """
+    big = lcm(order, 4)
+    step, quarter = big // order, big // 4
     logs: list[list[Optional[int]]] = []
     for row in matrix.rows:
         out_row: list[Optional[int]] = []
         for cell in row:
             if cell is None:
                 out_row.append(None)
-            else:
-                k, sub = cell.eval_root_log(assignment, order)
-                out_row.append(k * (big // sub))
+                continue
+            k = cell.ipow * quarter
+            for sym, e in cell.exps:
+                if sym not in assignment:
+                    raise KeyError(f"unassigned symbol {sym!r}")
+                k += e * step * assignment[sym]
+            out_row.append(k)
         logs.append(out_row)
-    return ButsonMatrix(big, logs, label or matrix.label).reduce_order()
+    return ButsonMatrix(big, logs).reduce_order()
 
 
-def eval_complex(
-    matrix: SymbolicMatrix,
-    assignment: Mapping[str, complex],
-    label: str | None = None,
-) -> ComplexMatrix:
+def eval_complex(matrix: SymbolicMatrix, assignment: Mapping[str, complex]) -> ComplexMatrix:
     return ComplexMatrix(
         [
             [0j if cell is None else cell.eval_complex(assignment) for cell in row]
             for row in matrix.rows
-        ],
-        label or matrix.label,
+        ]
     )

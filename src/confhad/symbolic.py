@@ -3,14 +3,14 @@
 A cell value is either zero (represented by ``None``) or a :class:`Monomial`:
 a unit coefficient i^k (k mod 4) times a Laurent product of formal parameters,
 e.g. ``-i*c*a^-1``.  Cells parse from and print to the text cell grammar and
-evaluate exactly (as root-of-unity logs) or in floating point.
+evaluate in floating point; exact evaluation at roots of unity is
+``matrices.eval_exact``.
 
 All values are immutable; operations return new objects.
 """
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Iterable, Mapping, Optional
 
 
@@ -96,26 +96,6 @@ class Monomial:
                 raise ValueError(f"symbol {sym!r} assigned zero")
             value *= v**e
         return value
-
-    def eval_root_log(self, assignment: Mapping[str, int], order: int) -> tuple[int, int]:
-        """Evaluate at roots of unity given as logs base zeta_order.
-
-        Returns (log, order') where order' is `order` stretched just enough to
-        accommodate the i^ipow coefficient.
-        """
-        need = 1 if self.ipow == 0 else (2 if self.ipow == 2 else 4)
-        big = lcm(order, need)
-        if self.ipow == 0:
-            k = 0
-        elif self.ipow == 2:
-            k = big // 2
-        else:
-            k = (self.ipow * big) // 4
-        for sym, e in self.exps:
-            if sym not in assignment:
-                raise KeyError(f"unassigned symbol {sym!r}")
-            k += e * (big // order) * assignment[sym]
-        return k % big, big
 
     def __eq__(self, other: object) -> bool:
         return (

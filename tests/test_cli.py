@@ -248,6 +248,13 @@ def test_numeric_options_take_ascii_digits_only(capsys):
             assert (code, out) == (64, "") and "phase" in err
 
 
+def test_empty_phase_entries_are_usage_errors(capsys):
+    for phases in ("0,,0,0,0,0,0", "0,0,0,0,0,0,"):
+        for command in ("build", "verify"):
+            code, out, err = run(capsys, command, "D12a", "--phases", phases)
+            assert (code, out) == (64, "") and "phase" in err
+
+
 def test_non_finite_phases_are_usage_errors(capsys):
     for value in ("nan", "inf", "-inf"):
         for command in ("build", "verify"):

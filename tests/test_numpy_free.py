@@ -2,7 +2,8 @@
 
 numpy serves only the float Hadamard check.  A fresh interpreter imports the
 CLI, then builds, verifies and derives every catalog entry that is not a
-float family, and must finish without numpy in ``sys.modules``.
+float family, and must finish without numpy, or the search module that only
+the ``search`` command loads, in ``sys.modules``.
 """
 
 import os
@@ -34,6 +35,7 @@ for name in catalog.names():
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             codes.append(confhad.cli.main(argv))
 assert 0 in codes and 1 in codes, codes  # passing and failing checks both ran
+assert "confhad.search" not in sys.modules  # only the search command loads it
 print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")))
 """
 

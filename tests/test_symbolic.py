@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from confhad.matrices import SymbolicMatrix, eval_exact
 from confhad.symbolic import (
     Monomial,
     ONE,
@@ -85,8 +86,8 @@ class TestEvaluation:
 
     def test_eval_root_log_matches_float(self):
         # b/a at a=i, b=-1 in 4th roots: -1/i = i
-        k, order = mono("b*a^-1").eval_root_log({"a": 1, "b": 2}, 4)
-        assert (k, order) == (1, 4)
+        B = eval_exact(SymbolicMatrix([[mono("b*a^-1")]]), {"a": 1, "b": 2}, 4)
+        assert (B.logs, B.m) == (((1,),), 4)
         numeric = mono("b*a^-1").eval_complex({"a": 1j, "b": -1})
         assert abs(numeric - 1j) < 1e-15
 
