@@ -13,6 +13,7 @@ import cmath
 import math
 import random
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -289,6 +290,8 @@ def _cmd_specialize(args) -> int:
     name = args.name
     if name not in catalog.names():
         raise _UsageError(f"unknown catalog name {name!r}")
+    if catalog.kind(name) == "family":
+        raise _UsageError(f"{name} is a continuous family; specialize takes a symbolic entry")
     matrix = catalog.build_verified(name)
     if not isinstance(matrix, SymbolicMatrix) or matrix.is_constant:
         raise _UsageError(f"{name} has no free symbols to specialize")
@@ -307,7 +310,13 @@ def _cmd_specialize(args) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The argument parser, built on the first ``main`` call and shared.
+
+    It holds only constants, and ``parse_args`` returns a fresh namespace
+    each call; help text reads the terminal width when it is formatted.
+    """
     parser = _Parser(prog="confhad", description=__doc__)
     parser.add_argument("--list", action="store_true", help="list catalog entries")
     sub = parser.add_subparsers(dest="command")
@@ -352,7 +361,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser("specialize", help="classify sign specializations")
     p.add_argument("name")
     p.add_argument("--budget", type=_node_budget, default=DEFAULT_BUDGET)
+    return parser
 
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
 
     try:

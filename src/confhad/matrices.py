@@ -472,8 +472,10 @@ def eval_exact(
 
     Every cell is a log base zeta_big, big = lcm(order, 4), which holds the
     parameter values and the i^k coefficients alike; the result is
-    order-reduced.
+    order-reduced.  A non-positive order raises ``ValueError``.
     """
+    if order < 1:
+        raise ValueError(f"order must be a positive integer, got {order}")
     big = lcm(order, 4)
     step, quarter = big // order, big // 4
     logs: list[list[Optional[int]]] = []

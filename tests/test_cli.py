@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from confhad import catalog
+import confhad
+from confhad import catalog, cli
 from confhad.cli import main
 from confhad.cyclotomic import _tables
-from confhad.formats import MAX_BUTSON_ORDER, parse_butson, parse_matrix, parse_numeric
+from confhad.equivalence import DEFAULT_BUDGET
+from confhad.formats import MAX_BUTSON_ORDER, emit_matrix, parse_butson, parse_matrix, parse_numeric
 
 
 def run(capsys, *argv):
@@ -199,6 +206,13 @@ def test_specialize(capsys):
     assert "class 1: 64 members" in out
 
 
+def test_specialize_family_is_a_usage_error(capsys):
+    for name in catalog.names():
+        if catalog.kind(name) == "family":
+            code, out, err = run(capsys, "specialize", name)
+            assert (code, out) == (64, "") and "continuous family" in err
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "build", "NOPE")[0] == 64
     assert run(capsys, "equiv", "O12a", "H12a")[0] == 64  # free symbols
@@ -305,3 +319,78 @@ def test_non_ascii_and_underscored_numbers_are_usage_errors(capsys, tmp_path):
         code, out, err = run(capsys, "verify", str(path))
         line = 1 if name == "dim.bh" else 2
         assert (code, out) == (64, "") and f"{path}: line {line}: " in err
+
+
+def _record_namespaces(monkeypatch, command):
+    """Wrap a command's handler so each call's parsed namespace is kept."""
+    seen = []
+    handler = getattr(cli, f"_cmd_{command}")
+
+    def recording(args):
+        seen.append(args)
+        return handler(args)
+
+    monkeypatch.setattr(cli, f"_cmd_{command}", recording)
+    return seen
+
+
+def test_repeated_calls_parse_into_fresh_namespaces(capsys, monkeypatch):
+    # one process, one shared parser: no option value may carry over
+    seen = _record_namespaces(monkeypatch, "equiv")
+    assert run(capsys, "equiv", "H12a", "H12b", "--budget", "5") == (
+        3, "unknown (budget exhausted; nodes=5)\n", ""
+    )
+    code, out, _ = run(capsys, "equiv", "H12a", "H12b")
+    assert code == 0 and out.startswith("equivalent (witness found; ")
+    assert [a.budget for a in seen] == [5, DEFAULT_BUDGET] and seen[0] is not seen[1]
+
+    seen = _record_namespaces(monkeypatch, "build")
+    assert run(capsys, "build", "O12h", "--verified")[:2] == (
+        0, emit_matrix(catalog.build_verified("O12h"))
+    )
+    assert run(capsys, "build", "O12h")[:2] == (0, emit_matrix(catalog.build("O12h")))
+    assert [a.verified for a in seen] == [True, False]
+
+    seen = _record_namespaces(monkeypatch, "verify")
+    assert run(capsys, "verify", "D12c", "--numeric", "--seed", "5") == (0, "pass\n", "")
+    assert run(capsys, "verify", "D12c", "--numeric") == (0, "pass\n", "")
+    assert [a.seed for a in seen] == [5, catalog.DEFAULT_SEED]
+
+
+def _exit(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_usage_errors_and_help_repeat_byte_identically(capsys):
+    good = run(capsys, "fingerprint", "H12d")
+    assert good[0] == 0
+    bad = _exit(capsys, "equiv", "H12a", "H12b", "--budget", "0")
+    assert bad[:2] == (64, "") and "--budget" in bad[2]
+    assert run(capsys, "fingerprint", "H12d") == good
+    assert _exit(capsys, "equiv", "H12a", "H12b", "--budget", "0") == bad
+    for argv in (["--help"], ["verify", "--help"]):
+        first = _exit(capsys, *argv)
+        assert first[0] == 0 and first[1].startswith("usage: confhad") and first[2] == ""
+        assert _exit(capsys, *argv) == first
+
+
+PARSER_SCRIPT = """
+import confhad.cli
+
+assert confhad.cli._parser.cache_info().currsize == 0  # import builds nothing
+for _ in range(2):
+    assert confhad.cli.main(["--list"]) == 0
+info = confhad.cli._parser.cache_info()
+assert (info.currsize, info.misses, info.hits) == (1, 1, 1), info
+"""
+
+
+def test_import_does_not_build_the_parser():
+    env = dict(os.environ, PYTHONPATH=str(Path(confhad.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", PARSER_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -395,6 +395,13 @@ class TestSpecializeAndClassify:
         with pytest.raises(ValueError):
             specialize_and_classify(bad, [{}], order=2)
 
+    def test_rejects_non_positive_order(self):
+        M = catalog.build_verified("O12a")
+        ones = {s: 1 for s in M.symbols()}
+        for order in (0, -4):
+            with pytest.raises(ValueError, match="order"):
+                specialize_and_classify(M, [ones], order=order)
+
     def test_in_class_members_are_pairwise_equivalent(self):
         M = catalog.build_verified("O12c")
         syms = sorted(M.symbols())

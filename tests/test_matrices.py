@@ -244,6 +244,14 @@ class TestEvaluation:
         floats = eval_complex(M, assignment)
         assert np.max(np.abs(np.array(exact.rows) - np.array(floats.rows))) < 1e-12
 
+    def test_eval_exact_rejects_non_positive_order(self):
+        # order 0 used to divide by zero, order -4 to negate every parameter log
+        M = catalog.build_verified("O12a")
+        ones = {s: 1 for s in M.symbols()}
+        for order in (0, -4):
+            with pytest.raises(ValueError, match="order"):
+                eval_exact(M, ones, order)
+
 
 class TestContainers:
     def test_transpose(self):
