@@ -35,7 +35,13 @@ from .matrices import (
     to_butson,
 )
 from .symbolic import parse_float, parse_int
-from .verify import DEFAULT_TOL, check_conference, check_hadamard, check_inverse_orthogonal
+from .verify import (
+    DEFAULT_TOL,
+    VerificationResult,
+    check_conference,
+    check_hadamard,
+    check_inverse_orthogonal,
+)
 
 USAGE_ERROR = 64
 
@@ -176,10 +182,13 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    if args.name not in catalog.names():
-        raise _UsageError(f"unknown catalog name {args.name!r}")
+    name = args.name
+    if name not in catalog.names():
+        raise _UsageError(f"unknown catalog name {name!r}")
+    if catalog.kind(name) == "family":
+        raise _UsageError(f"{name} is a continuous family; use build {name} --phases ...")
     try:
-        matrix = catalog.derive(args.name)
+        matrix = catalog.derive(name)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     _write_out(emit_matrix(matrix), args.out)
@@ -188,8 +197,13 @@ def _cmd_derive(args) -> int:
 
 def _verify_auto(matrix: AnyMatrix, tol: float):
     if isinstance(matrix, SymbolicMatrix):
-        zero_diag = all(matrix.rows[i][i] is None for i in range(matrix.n))
-        return check_conference(matrix) if zero_diag else check_inverse_orthogonal(matrix)
+        if all(matrix.rows[i][i] is None for i in range(matrix.n)):
+            return check_conference(matrix)
+        for i, row in enumerate(matrix.rows):
+            if None in row:  # worded as check_hadamard words a BH grid's zero cell
+                witness = (i, row.index(None), "zero cell")
+                return VerificationResult(False, witness, "not unimodular")
+        return check_inverse_orthogonal(matrix)
     if isinstance(matrix, ButsonMatrix):
         zero_diag = all(matrix.logs[i][i] is None for i in range(matrix.n))
         return check_conference(matrix) if zero_diag else check_hadamard(matrix)

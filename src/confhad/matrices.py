@@ -53,12 +53,7 @@ class SymbolicMatrix:
         return hash(self.rows)
 
     def symbols(self) -> set[str]:
-        syms: set[str] = set()
-        for row in self.rows:
-            for cell in row:
-                if cell is not None:
-                    syms |= cell.symbols()
-        return syms
+        return {s for row in self.rows for cell in row if cell is not None for s, _ in cell.exps}
 
     @property
     def is_constant(self) -> bool:
@@ -170,12 +165,7 @@ class ExponentMatrix:
         return hash(self.cells)
 
     def symbols(self) -> set[str]:
-        syms: set[str] = set()
-        for row in self.cells:
-            for cell in row:
-                if cell is not None:
-                    syms |= cell.symbols()
-        return syms
+        return {s for row in self.cells for cell in row if cell is not None for s, _ in cell.terms}
 
     def phase(self, i: int, j: int, phases: Mapping[str, float]) -> float:
         cell = self.cells[i][j]

@@ -1,12 +1,16 @@
 """Exact and numeric verification predicates.
 
 One exact Gram kernel per representation checks every row pair i < j.  The
-symbolic kernel groups the terms of sum_k row_i[k]/row_j[k] by parameter
-part and demands each group's 4th-root sum vanish, so the identity holds for
-all values of the free parameters; the Butson kernel does the same over m-th
-roots.  Root sums are tested for zero exactly, modulo the cyclotomic
-polynomial.  Floating checks are smoke tests only; a symbolic failure is
-authoritative even if sampled floats look fine.
+symbolic kernel codes each nonzero cell as one integer: its i-power plus 8
+times its exponent vector packed in base B = 4E + 1, E the largest |exponent|
+in the matrix.  Each exponent of a quotient of two cells lies in [-2E, 2E],
+fewer than B values, so the difference of two codes names the quotient's
+i-power and parameter part uniquely.  The sum of a row pair vanishes for all
+values of the free parameters exactly when each parameter part's 4th-root
+counts cancel, c0 = c2 and c1 = c3; on the codes that is a multiset compare
+in integer arithmetic.  The Butson kernel tests sums over m-th roots exactly,
+modulo the cyclotomic polynomial.  Floating checks are smoke tests only; a
+symbolic failure is authoritative even if sampled floats look fine.
 """
 
 from __future__ import annotations
@@ -54,9 +58,15 @@ def _fail(i: int, j: int, detail: object, message: str = "") -> VerificationResu
     return VerificationResult(False, (i, j, detail), message)
 
 
-def _laurent_str(groups: dict) -> str:
-    """A failure witness: each nonzero group as its coefficient
-    (c0 - c2) + (c1 - c3)i times its parameter part, sorted by that part."""
+def _laurent_str(row_i, row_j) -> str:
+    """A failure witness for the pair (row_i, row_j): the terms of
+    sum_k row_i[k]/row_j[k] grouped by parameter part, each nonzero group as
+    its coefficient (c0 - c2) + (c1 - c3)i times that part, sorted by it."""
+    groups: dict = {}
+    for x, y in zip(row_i, row_j):
+        if x is not None and y is not None:
+            counts = groups.setdefault((x * y.reciprocal()).exps, [0, 0, 0, 0])
+            counts[(x.ipow - y.ipow) % 4] += 1
     parts = []
     for exps, c in sorted(groups.items()):
         re, im = c[0] - c[2], c[1] - c[3]
@@ -73,34 +83,47 @@ def _laurent_str(groups: dict) -> str:
     return " + ".join(parts)
 
 
+def _cell_codes(rows) -> list[list[Optional[int]]]:
+    """Each nonzero cell x as the integer x.ipow + 8 * sum_s e_s * B^k(s),
+    k(s) the rank of symbol s among the sorted symbols and B = 4E + 1 for E
+    the largest |exponent| in ``rows``; zero cells stay None.  The exponents
+    of a quotient of two cells are digits in [-2E, 2E], and a base-B number
+    with digits in that range has one such representation, so the difference
+    of two packed parameter parts decodes to the quotient's exponent vector."""
+    parts = {x.exps for row in rows for x in row if x is not None}
+    base = 4 * max((abs(e) for exps in parts for _, e in exps), default=0) + 1
+    symbols = sorted({s for exps in parts for s, _ in exps})
+    place = {s: 8 * base**k for k, s in enumerate(symbols)}
+    packed = {exps: sum([e * place[s] for s, e in exps]) for exps in parts}
+    return [[None if x is None else x.ipow + packed[x.exps] for x in row] for row in rows]
+
+
 def _gram_symbolic(rows) -> VerificationResult:
     """sum_k row_i[k]/row_j[k] == 0 identically for every row pair i < j.
 
-    Columns where either cell is zero are skipped.  Terms are grouped by
-    their parameter part; each group is a count vector over the 4th roots
-    i^k, and the sum vanishes exactly when every group does.  Pairs j < i
-    need no check: the automorphism x -> 1/x, i -> -i carries the (i,j) sum
-    onto the (j,i) sum, and a diagonal sum just counts ones.
+    Columns where either cell is zero are skipped.  Row i's cell codes
+    (``_cell_codes``) are shifted by +4, so for a term x/y the difference
+    a - b is 8 times the quotient's packed parameter part plus
+    x.ipow - y.ipow + 4, which lies in 1..7 and stays inside its block of 8.
+    ``(a - b) & -5`` clears the 4 bit, which folds i^k and i^(k+4) together:
+    the result is 8 * part + (quotient i-power), one integer per quotient.
+    The sum vanishes exactly when each parameter part's 4th-root counts have
+    c0 = c2 and c1 = c3, that is when the multiset q of those integers is
+    closed under ``^ 2``, which multiplies a term by -1.  A failing pair's
+    witness is built from its Monomial quotients by ``_laurent_str``.  Pairs
+    j < i need no check: the automorphism x -> 1/x, i -> -i carries the
+    (i,j) sum onto the (j,i) sum, and a diagonal sum just counts ones.
     """
-    quotients: dict = {}
+    codes = _cell_codes(rows)
     n = len(rows)
     for i in range(n):
-        row_i = rows[i]
+        row_i = [None if a is None else a + 4 for a in codes[i]]
         for j in range(i + 1, n):
-            groups: dict = {}
-            for x, y in zip(row_i, rows[j]):
-                if x is None or y is None:
-                    continue
-                key = (x.exps, y.exps)
-                exps = quotients.get(key)
-                if exps is None:
-                    exps = quotients[key] = (x * y.reciprocal()).exps
-                counts = groups.get(exps)
-                if counts is None:
-                    counts = groups[exps] = [0, 0, 0, 0]
-                counts[(x.ipow - y.ipow) % 4] += 1
-            if not all(root_sum_is_zero(c, 4) for c in groups.values()):
-                return _fail(i, j, _laurent_str(groups), "off-diagonal sum != 0")
+            q = sorted(
+                [(a - b) & -5 for a, b in zip(row_i, codes[j]) if a is not None and b is not None]
+            )
+            if q != sorted([d ^ 2 for d in q]):
+                return _fail(i, j, _laurent_str(rows[i], rows[j]), "off-diagonal sum != 0")
     return _ok()
 
 

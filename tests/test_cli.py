@@ -109,6 +109,28 @@ def test_long_butson_witness_is_cut(capsys, tmp_path):
     assert (code, out) == (1, "fail at (0,1): [1" + ", 0" * 14 + ", 1] [off-diagonal root sum != 0]\n")
 
 
+def test_verify_sym_zero_cell_reads_like_bh(capsys, tmp_path):
+    # a zero cell off a full zero diagonal fails as on the same BH grid, not with a traceback
+    for sym, bh, witness in (
+        ("SYM 2\n1 0\n1 1\n", "BH 2 2\n0 z\n0 0\n", "fail at (0,1): zero cell [not unimodular]"),
+        ("SYM 2\n0 1\n1 1\n", "BH 2 2\nz 0\n0 0\n", "fail at (0,0): zero cell [not unimodular]"),
+        ("SYM 3\n1 1 1\n1 1 0\n1 1 1\n", "BH 3 2\n0 0 0\n0 0 z\n0 0 0\n",
+         "fail at (1,2): zero cell [not unimodular]"),
+    ):
+        for name, text in (("zero.sym", sym), ("zero.bh", bh)):
+            path = tmp_path / name
+            path.write_text(text)
+            assert run(capsys, "verify", str(path)) == (1, witness + "\n", "")
+
+
+def test_derive_family_names_the_cli_route(capsys):
+    for name in catalog.names():
+        if catalog.kind(name) == "family":
+            code, out, err = run(capsys, "derive", name)
+            assert (code, out) == (64, "")
+            assert f"use build {name} --phases" in err and "family_matrix" not in err
+
+
 def test_equiv_exit_codes(capsys):
     code, out, _ = run(capsys, "equiv", "H12a", "H12c")
     assert code == 0 and out.startswith("equivalent")

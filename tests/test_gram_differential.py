@@ -14,7 +14,13 @@ from itertools import product
 from confhad import catalog
 from confhad.cyclotomic import root_sum_is_zero
 from confhad.equivalence import MonomialTransform
-from confhad.matrices import ButsonMatrix, SymbolicMatrix, to_butson
+from confhad.matrices import (
+    ButsonMatrix,
+    SymbolicMatrix,
+    bordered_circulant,
+    double_orthogonal,
+    to_butson,
+)
 from confhad.search import bordered_matrix, circulant_matrix
 from confhad.symbolic import Monomial
 from confhad.verify import check_conference, check_hadamard, check_inverse_orthogonal
@@ -227,3 +233,172 @@ def test_butson_kernel_matches_old_loop_on_search_candidates():
         for tail in product(range(m), repeat=n - 1):
             seen.update(assert_butson_agrees(circulant_matrix((None, *tail), m)))
     assert None in seen
+
+
+# Laurent matrices: five or more symbols, exponents up to +-40, mixed i-powers.
+# None of these symbols occurs in the catalog.
+LAURENT_SYMBOLS = "hjkmnrsu"
+
+
+def pick_symbols(rng):
+    return sorted(rng.sample(LAURENT_SYMBOLS, rng.randint(5, len(LAURENT_SYMBOLS))))
+
+
+def random_monomial(rng, symbols, E):
+    return Monomial(rng.randrange(4), [(s, rng.randint(-E, E)) for s in symbols])
+
+
+def laurent_image(matrix, rng, E):
+    """D1 M D2 with Laurent-monomial diagonals of random i-powers; each
+    symbol's exponent sits on the rows, on the columns, or on both, so that
+    every cell exponent stays within +-E.  Row-only symbols take both +E and
+    -E, so row pairs differ by exactly +-2E, and E is the image's largest
+    |exponent| when M's own exponents are within +-E.  The row pair sums are
+    those of M times a monomial, so M's verdict carries over."""
+    n = matrix.n
+    symbols = pick_symbols(rng)
+    row_exps = [[] for _ in range(n)]
+    col_exps = [[] for _ in range(n)]
+    for k, s in enumerate(symbols):
+        mode = "rows" if k == 0 else rng.choice(("rows", "cols", "both"))
+        for i in range(n):
+            if mode == "rows":
+                row_exps[i].append((s, rng.choice((-E, E, rng.randint(-E, E)))))
+            elif mode == "both":
+                row_exps[i].append((s, rng.randint(-(E // 2), E // 2)))
+            if mode == "cols":
+                col_exps[i].append((s, rng.randint(-E, E)))
+            elif mode == "both":
+                col_exps[i].append((s, rng.randint(-(E - E // 2), E - E // 2)))
+        if mode == "rows":  # both extremes occur
+            i, j = rng.sample(range(n), 2)
+            row_exps[i][-1], row_exps[j][-1] = (s, E), (s, -E)
+    dr = [Monomial(rng.randrange(4), exps) for exps in row_exps]
+    dc = [Monomial(rng.randrange(4), exps) for exps in col_exps]
+    return SymbolicMatrix(
+        [
+            [None if x is None else dr[i] * x * dc[j] for j, x in enumerate(row)]
+            for i, row in enumerate(matrix.rows)
+        ]
+    )
+
+
+def random_laurent_matrix(rng, n, E, zero_diagonal, symbols):
+    return SymbolicMatrix(
+        [
+            [None if zero_diagonal and i == j else random_monomial(rng, symbols, E) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def near_miss_matrix(rng, E, zero_diagonal, pairs):
+    """A random Laurent matrix whose rows 0 and 1 are rebuilt column pair by
+    column pair so that their sum is a sum of t - t', t' being t with the
+    digit 2E of one symbol replaced by -2E and the next symbol's exponent
+    raised by one.  The sum is not zero, but in base 4E (instead of
+    4E + 1) t and t' would pack alike and cancel."""
+    offset = 2 if zero_diagonal else 0
+    n = offset + 2 * pairs
+    symbols = pick_symbols(rng)
+    rows = [list(row) for row in random_laurent_matrix(rng, n, E, zero_diagonal, symbols).rows]
+
+    def cells(quotient):
+        """Cells x, y within +-E with x / y == quotient (exponent dict)."""
+        x, y = [], []
+        for s in symbols:
+            d = quotient.get(s, 0)
+            ys = rng.randint(max(-E, -E - d), min(E, E - d))
+            x.append((s, ys + d))
+            y.append((s, ys))
+        ipow = rng.randrange(4)
+        return Monomial(ipow + quotient["ipow"], x), Monomial(ipow, y)
+
+    for p in range(pairs):
+        r = rng.randrange(len(symbols) - 1)
+        t = {s: rng.randint(-2 * E, 2 * E) for s in symbols}
+        t[symbols[r]] = 2 * E
+        t[symbols[r + 1]] = rng.randint(-2 * E, 2 * E - 1)
+        t["ipow"] = rng.randrange(4)
+        t2 = dict(t)
+        t2[symbols[r]] = -2 * E
+        t2[symbols[r + 1]] += 1
+        t2["ipow"] += 2  # -t'
+        for col, quotient in enumerate((t, t2), offset + 2 * p):
+            rows[0][col], rows[1][col] = cells(quotient)
+    return SymbolicMatrix(rows)
+
+
+def test_symbolic_kernel_matches_old_loop_on_random_laurent_matrices():
+    rng = random.Random(20261018)
+    seen = set()
+    for draw in range(40):
+        E = rng.choice((1, 2, 7, 40))
+        n = rng.randint(2, 7)
+        M = random_laurent_matrix(rng, n, E, draw % 2 == 0, pick_symbols(rng))
+        seen.update(assert_symbolic_agrees(M))
+    assert any(s is not None and s[3] == "off-diagonal sum != 0" for s in seen)
+
+
+def test_symbolic_kernel_matches_old_loop_on_near_misses():
+    rng = random.Random(2027)
+    seen = []
+    for draw in range(40):
+        E = rng.choice((1, 3, 40))
+        M = near_miss_matrix(rng, E, draw % 2 == 0, rng.randint(1, 3))
+        seen.append(assert_symbolic_agrees(M)[-1])
+    # every near miss fails at its first pair, never later
+    assert all(s[:2] == (0, 1) and s[3] == "off-diagonal sum != 0" for s in seen)
+
+
+def test_symbolic_kernel_matches_old_loop_on_laurent_images():
+    rng = random.Random(1118)
+    seen = set()
+    for matrix in catalog_matrices():
+        for E in (1, 40):
+            seen.update(assert_symbolic_agrees(laurent_image(matrix, rng, E)))
+    messages = {None if s is None else s[3] for s in seen}
+    assert {None, "structure", "off-diagonal sum != 0"} <= messages
+
+
+def test_symbolic_kernel_matches_old_loop_on_o12_substitutions():
+    """Unit-monomial values for the free parameters keep an identity that
+    holds for all values, so the verified families still pass."""
+    rng = random.Random(612)
+    seen = []
+    for name in catalog.names():
+        if catalog.kind(name) != "orthogonal":
+            continue
+        for matrix in (catalog.build(name), catalog.build_verified(name)):
+            for E in (1, 13, 40):
+                symbols = rng.sample(LAURENT_SYMBOLS, 5)
+                mapping = {s: random_monomial(rng, symbols, E) for s in matrix.symbols()}
+                image = SymbolicMatrix(
+                    [[x.substitute(mapping) for x in row] for row in matrix.rows]
+                )
+                verdict = assert_symbolic_agrees(image)[-1]
+                if matrix == catalog.build_verified(name):
+                    assert verdict is None
+                seen.append(verdict)
+    assert None in seen and any(s is not None for s in seen)
+
+
+def symbolic_paley_core(q):
+    squares = {k * k % q for k in range(1, q)}
+    return bordered_circulant([None] + [Monomial(0 if k in squares else 2) for k in range(1, q)])
+
+
+def test_symbolic_kernel_matches_old_loop_on_paley_doubles():
+    rng = random.Random(2836)
+    for q in (13, 17):
+        core = symbolic_paley_core(q)
+        double = double_orthogonal(core)
+        assert double.n == 2 * (q + 1)
+        assert assert_symbolic_agrees(core) == [None]
+        assert assert_symbolic_agrees(double)[-1] is None
+        assert assert_symbolic_agrees(laurent_image(double, rng, 40))[-1] is None
+        assert assert_symbolic_agrees(laurent_image(core, rng, 40)) == [None]
+        broken = [list(row) for row in double.rows]
+        i, j = rng.randrange(double.n), rng.randrange(double.n)
+        broken[i][j] = -broken[i][j]
+        assert assert_symbolic_agrees(SymbolicMatrix(broken))[-1] is not None
