@@ -18,15 +18,20 @@ set of A columns they may take), which every matched row splits by value.  Two
 prunes refine rows and columns together, after McKay-Piperno ("Practical
 graph isomorphism II", 2014): every cell must split into equal parts on both
 sides, and the unmatched rows of both matrices must have equal multisets of
-value counts per cell.  Each is a necessary condition for any witness below
-a node, so an exhausted search stays a proof.  B's side of every depth is
-built once per B and shared by all anchors, branches and searches against
-it.  A quadruple that touches a zero cell has no value; it gets the sentinel
-``_ZERO``, and the cells it hides are checked by the witness at the leaf,
-where a failure backtracks.  Zero cells must form a permutation pattern (one
-per row and per column, such as the zero diagonal).  That makes the columns
-of each dephased matrix pairwise distinct by their sentinel cells alone, so
-once the rows are matched the column map is forced.
+value counts per cell.  B's rows are matched rarest profile first, the
+target-cell choice of the same paper: each depth takes the unmatched row
+whose shape and counts per cell the fewest unmatched rows share, so it
+branches over the fewest A rows.  Each prune is a necessary condition for
+any witness below a node under any fixed row order, so the order moves the
+node count and the witness found, not the status; every witness is verified
+and an exhausted search stays a proof.  B's row order and its side of every
+depth are built once per B and shared by all anchors, branches and searches
+against it.  A quadruple that touches a zero cell has no value; it gets the
+sentinel ``_ZERO``, and the cells it hides are checked by the witness at the
+leaf, where a failure backtracks.  Zero cells must form a permutation
+pattern (one per row and per column, such as the zero diagonal).  That makes
+the columns of each dephased matrix pairwise distinct by their sentinel
+cells alone, so once the rows are matched the column map is forced.
 """
 
 from __future__ import annotations
@@ -289,25 +294,28 @@ def _col_shape(M: list[list[int]]) -> list[tuple[int, ...]]:
 
 
 class _Level:
-    """B's side of search depth i: its cells, set by rows 0..i-1.
+    """B's side of search depth i: ``row``, the B row matched there, and its
+    cells, set by the rows of depths 0..i-1.
 
-    ``split`` lists (cell index, value index, size) of every part that row i
-    cuts a cell into, in the order of depth i+1's cells.  ``wide`` indexes
-    the cells of two or more columns; on them, ``cell_counts`` holds every
-    row's counts per cell, sorted, ``want`` is row i's profile and
+    ``split`` lists (cell index, value index, size) of every part that
+    ``row`` cuts a cell into, in the order of depth i+1's cells.  ``wide``
+    indexes the cells of two or more columns; on them, ``cell_counts`` holds
+    every row's counts per cell, sorted, ``want`` is ``row``'s profile and
     ``profiles`` those of all rows, sorted.
     """
 
-    __slots__ = ("cells", "split", "wide", "cell_counts", "want", "profiles")
+    __slots__ = ("row", "cells", "split", "wide", "cell_counts", "want", "profiles")
 
-    def __init__(self, cells, split=(), wide=(), cell_counts=(), want=(), profiles=()) -> None:
-        self.cells, self.split, self.wide = cells, split, wide
+    def __init__(self, row, cells, split=(), wide=(), cell_counts=(), want=(), profiles=()) -> None:
+        self.row, self.cells, self.split, self.wide = row, cells, split, wide
         self.cell_counts, self.want, self.profiles = cell_counts, want, profiles
 
 
 class _Target:
     """B's side of the search, shared by every anchor, branch and search
     against B: B dephased about (0, b0), and its depths, refined lazily.
+    Each depth fixes the B row matched there (row 0 at depth 0, then the
+    rarest by shape and profile), so the row order depends on B alone.
 
     Sets of columns are bitmasks.  A row's profile holds its count of each
     value in each cell, leaving out the last value of ``index`` (the counts
@@ -330,7 +338,8 @@ class _Target:
         self.counted = max(1, len(self.index) - 1)
         self.width = (n.bit_length() + 7) // 8
         self.masks, self.packed = self.encode(lb)
-        self.levels = [_Level(()), self._level(1, (1 << b0, ((1 << n) - 1) ^ (1 << b0)))]
+        self.levels = [_Level(0, ())]
+        self.levels.append(self._level((1 << b0, ((1 << n) - 1) ^ (1 << b0))))
 
     def encode(self, M: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         """For a dephased matrix with B's values: per row, the mask of the
@@ -366,29 +375,36 @@ class _Target:
         size = self.counted * self.width
         return list(zip(*[on_cell[k::size] for on_cell in counts for k in range(size)]))
 
-    def _level(self, i: int, cells: tuple[int, ...]) -> _Level:
-        if i == self.n:
-            return _Level(cells)
-        row = self.masks[i]
+    def _level(self, cells: tuple[int, ...]) -> _Level:
+        """The next depth, given its cells, with its row chosen by rarity
+        (see ``_search``)."""
+        if len(self.levels) == self.n:
+            return _Level(-1, cells)
+        taken = {level.row for level in self.levels}
+        free = [u for u in range(self.n) if u not in taken]
+        wide = tuple(k for k, cell in enumerate(cells) if cell & (cell - 1))
+        row = free[0]
+        if wide:
+            counts = [self.counts(self.packed, cells[k]) for k in wide]
+            profiles = self.profiles(counts)
+            seen = Counter((self.sigs[u], profiles[u]) for u in free)
+            row = min(free, key=lambda u: seen[self.sigs[u], profiles[u]])
         split = tuple(
             (k, x, (cell & mask).bit_count())
             for k, cell in enumerate(cells)
-            for x, mask in enumerate(row)
+            for x, mask in enumerate(self.masks[row])
             if cell & mask
         )
-        wide = tuple(k for k, cell in enumerate(cells) if cell & (cell - 1))
         if not wide:
-            return _Level(cells, split)
-        counts = [self.counts(self.packed, cells[k]) for k in wide]
-        profiles = self.profiles(counts)
-        return _Level(cells, split, wide, tuple(map(sorted, counts)), profiles[i], tuple(sorted(profiles)))
+            return _Level(row, cells, split)
+        return _Level(row, cells, split, wide, tuple(map(sorted, counts)), profiles[row], tuple(sorted(profiles)))
 
     def level(self, i: int) -> _Level:
         levels = self.levels
         while len(levels) <= i:
-            last, prev_row = levels[-1], self.masks[len(levels) - 1]
-            cells = tuple(last.cells[k] & prev_row[x] for k, x, _ in last.split)
-            levels.append(self._level(len(levels), cells))
+            last = levels[-1]
+            row = self.masks[last.row]
+            levels.append(self._level(tuple(last.cells[k] & row[x] for k, x, _ in last.split)))
         return levels[i]
 
 
@@ -422,7 +438,7 @@ class _Anchor:
                     tau[j] = v
             return _witness_from_maps(self.A, t.B, self.sigma, tau)
         used, masks = self.used, self.masks
-        rows = self.rows_with[t.sigs[i]]  # present: the shapes matched
+        rows = self.rows_with[t.sigs[level.row]]  # present: the shapes matched
         if level.wide:
             # each mapped row has the profile of the B row it carries, so
             # all rows compare; each cell's counts first, as they are cheaper
@@ -449,12 +465,12 @@ class _Anchor:
                 parts.append(part)
             else:
                 used[u] = True
-                self.sigma[i] = u
+                self.sigma[level.row] = u
                 witness = self.extend(i + 1, parts)
                 if witness is not None:
                     return witness
                 used[u] = False
-                self.sigma[i] = -1
+                self.sigma[level.row] = -1
         return None
 
 
@@ -469,7 +485,8 @@ def _search(A: ButsonMatrix, target: _Target, budget: _Budget) -> Optional[Monom
     takes the histogram of every row's differences to row r, and at (r, c)
     row u's sorted values are that histogram turned by A[r][c] - A[u][c].
     Only an anchor whose rows pass is dephased and its columns compared.
-    Rows are then assigned in order among A's rows with the same values.
+    B's rows are then matched in ``target``'s order, each onto A's unused
+    rows with the same values.
 
     The columns are held as cells: a set of B's columns paired with the set
     of A's columns they may map to, first {b0} -> {c} and the rest -> the
@@ -484,12 +501,15 @@ def _search(A: ButsonMatrix, target: _Target, budget: _Budget) -> Optional[Monom
         onto the other; B's next row is tried only against A rows with its
         profile.
 
-    Neither prune removes a witness, so an exhausted search is still a
-    proof, and since the order of anchors, rows and candidates is the one
-    without them, the witness found is the same; only the node count falls.
-    B's side of every depth depends on B alone and is built once in
-    ``target``.  At the leaf the k-th column of each B cell maps to the k-th
-    of its A cell, the representatives the search without cells picked.
+    B's row at each depth is the unmatched one whose pair (shape, profile)
+    the fewest unmatched B rows share, ties to the lowest index, so the
+    search branches over the smallest class of A rows; while no cell is
+    wide it is the lowest unmatched index.  Neither prune removes a witness
+    under any fixed row order, so the order changes the node count and the
+    witness found but never the status: every witness is verified at the
+    leaf, and an exhausted search is still a proof.  B's order and its side
+    of every depth depend on B alone and are built once in ``target``.  At
+    the leaf the k-th column of each B cell maps to the k-th of its A cell.
     Values that touch a zero are checked only by the witness there.
     """
     n, m, la = A.n, A.m, A.logs

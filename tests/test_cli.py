@@ -416,3 +416,12 @@ def test_import_does_not_build_the_parser():
         [sys.executable, "-c", PARSER_SCRIPT], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    env = dict(os.environ, PYTHONPATH=str(Path(confhad.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "confhad", "--list"], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, "--list")[1]

@@ -271,9 +271,10 @@ class TestAreEquivalent:
 
 
 class TestDoubledPaley:
-    """+-1 Hadamard matrices of order 28 by doubling the Paley conference
-    matrix of order 14.  Every dephased row of such a matrix has the same
-    signature, so only the refinement of rows and columns decides them."""
+    """+-1 Hadamard matrices of order 28 and 36 by doubling the Paley
+    conference matrices of order 14 and 18.  Every dephased row of such a
+    matrix has the same signature, so only the refinement of rows and
+    columns decides them."""
 
     def test_seeded_images_are_decided_within_budget(self):
         H = to_butson(double_orthogonal(paley_core(13)))
@@ -284,6 +285,17 @@ class TestDoubledPaley:
             verdict = are_equivalent(H, image, budget=10**5)
             assert verdict.equivalent and verdict.witness.maps(H, image)
             assert 0 < verdict.nodes <= 10**5
+
+    def test_order_36_images_match_rarest_rows_first(self):
+        # matched in index order, B's rows branch over every A row of the
+        # same profile: each of these images then took over 16,000 nodes
+        H = to_butson(double_orthogonal(paley_core(17)))
+        assert (H.n, H.m) == (36, 2) and check_hadamard(H)
+        rng = random.Random(3611)
+        for _ in range(3):
+            image = random_transform(H.n, H.m, rng).apply(H)
+            verdict = are_equivalent(H, image, budget=6000)
+            assert verdict.equivalent and verdict.witness.maps(H, image)
 
     def test_searches_leave_no_cyclic_garbage(self):
         rng = random.Random(30)

@@ -1,5 +1,5 @@
 """Differential tests: the anchored search ``_search`` against the searches
-it replaced.
+it replaced, and its row order against a reference.
 
 The oracles below are the former Hadamard search (B dephased about (0, 0), A
 dephased about every cell, rows matched by value counts, columns by a system
@@ -7,14 +7,18 @@ of distinct representatives), the former conference search (columns
 permuted to put the zeros on the diagonal, one permutation for rows and
 columns, diagonals solved cell by cell with undo lists), the anchored search
 as it was before anchors were rejected by shape, the same search with
-anchors skipped by an independently written shape test, and that one again
-with columns held as cells and pruned by cell sizes and row profiles.  On
-every pair all sides must reach the same status and every witness must map A
-onto B.  A zero-free pair may cost no more nodes than the former Hadamard
-search; every pair must give the anchored oracles' witness at no more nodes,
-and exactly the refined oracle's node count.  The anchor screen is also
-checked alone: the anchors whose turned row histograms and then dephased
-columns match B's must be exactly those ``same_shape`` keeps.
+anchors skipped by an independently written shape test, and the bitset
+search that matched B's rows in index order.  On every pair all of them must
+reach ``_search``'s status and every witness must map A onto B.  Over the
+whole corpus ``_search`` may cost no more nodes than the index-order search.
+
+``_search`` matches B's rows rarest profile first.  ``rarest_first_order``
+writes that order from its rule, and ``refined_search`` (frozenset cells,
+the same two prunes) follows a given order: on every pair it must take
+exactly ``_search``'s nodes to the same witness, and on catalog and Paley
+targets the order ``_search`` builds must be the reference's.  The anchor
+screen is also checked alone: the anchors whose turned row histograms and
+then dephased columns match B's must be exactly those ``same_shape`` keeps.
 """
 
 import random
@@ -27,6 +31,7 @@ import pytest
 from confhad import catalog
 from confhad.equivalence import (
     MonomialTransform,
+    _bits,
     _Budget,
     _col_shape,
     _dephased,
@@ -37,7 +42,7 @@ from confhad.equivalence import (
     _Target,
     _witness_from_maps,
 )
-from confhad.matrices import ButsonMatrix, bordered_circulant, to_butson
+from confhad.matrices import ButsonMatrix, bordered_circulant, double_orthogonal, to_butson
 from confhad.search import bordered_matrix, search_bordered_circulant
 from confhad.symbolic import Monomial
 from confhad.verify import _diff_hist
@@ -339,8 +344,36 @@ def shape_filtered_search(A, B, budget):
     return parent_search(A, B, budget, same_shape)
 
 
-def refined_search(A, B, budget):
-    """The shape-filtered search with columns held as cells and two prunes:
+def rarest_first_order(B):
+    """B's rows in the order the search matches them, from the rule alone.
+
+    Row 0 comes first.  Each later row is the unmatched row whose row
+    signature and per-cell value counts (on the cells of two or more
+    columns) the fewest unmatched rows share, the lowest index among equals;
+    while no cell is wide, the lowest unmatched index.  A cell is a frozenset
+    of B columns: first {b0} and the rest, then split by the values of each
+    row taken."""
+    n = B.n
+    b0 = next((j for j, x in enumerate(B.logs[0]) if x is not None), 0)
+    lb = parent_dephased(B, 0, b0)
+    order, cells = [0], {frozenset([b0]), frozenset(range(n)) - {b0}}
+    while len(order) < n:
+        cells = {frozenset(j for j in cell if lb[order[-1]][j] == x) for cell in cells for x in {lb[order[-1]][j] for j in cell}}
+        wide = [cell for cell in cells if len(cell) > 1]
+        free = [u for u in range(n) if u not in order]
+
+        def key(u):
+            counts = frozenset((cell, frozenset(Counter(lb[u][j] for j in cell).items())) for cell in wide)
+            return parent_signature(lb[u]), counts
+
+        seen = Counter(map(key, free))
+        order.append(min(free, key=lambda u: (seen[key(u)], u)) if wide else free[0])
+    return order
+
+
+def refined_search(A, B, budget, order):
+    """The shape-filtered search with columns held as cells, B's rows matched
+    in ``order`` (row 0 first), and two prunes:
     (a) every cell splits by value into parts of equal size on both sides;
     (b) while a cell holds two or more columns, the unmapped B rows and the
     unused A rows have equal multisets of profiles (value counts per such
@@ -374,41 +407,212 @@ def refined_search(A, B, budget):
                             cands[j] = a_cols
                     tau = _sdr(cands)
                     return None if tau is None else _witness_from_maps(A, B, sigma, tau)
+                w = order[i]
                 free = [u for u in range(n) if u not in used]
                 # a profile: the value counts in each cell of two or more
                 # columns, keyed by the cell's B columns
                 wide = [(b_cols, a_cols) for b_cols, a_cols in cells.items() if len(b_cols) >= 2]
                 if wide:
-                    b_profiles = {w: frozenset((b, counts(lb[w], b)) for b, _ in wide) for w in range(i, n)}
+                    b_profiles = {x: frozenset((b, counts(lb[x], b)) for b, _ in wide) for x in order[i:]}
                     a_profiles = {u: frozenset((b, counts(G[u], a)) for b, a in wide) for u in free}
                     if Counter(a_profiles.values()) != Counter(b_profiles.values()):
                         return None
                 for u in free:
-                    if parent_signature(G[u]) != parent_signature(lb[i]):
+                    if parent_signature(G[u]) != parent_signature(lb[w]):
                         continue
-                    if wide and a_profiles[u] != b_profiles[i]:
+                    if wide and a_profiles[u] != b_profiles[w]:
                         continue
                     if not budget.spend():
                         raise _OutOfBudget
                     parts = {}
                     for b_cols, a_cols in cells.items():
-                        if counts(G[u], a_cols) != counts(lb[i], b_cols):
+                        if counts(G[u], a_cols) != counts(lb[w], b_cols):
                             break
-                        for x in {lb[i][j] for j in b_cols}:
-                            parts[frozenset(j for j in b_cols if lb[i][j] == x)] = frozenset(
+                        for x in {lb[w][j] for j in b_cols}:
+                            parts[frozenset(j for j in b_cols if lb[w][j] == x)] = frozenset(
                                 v for v in a_cols if G[u][v] == x
                             )
                     else:
                         used.add(u)
-                        sigma[i] = u
+                        sigma[w] = u
                         witness = extend(i + 1, parts)
                         if witness is not None:
                             return witness
                         used.discard(u)
-                        sigma[i] = -1
+                        sigma[w] = -1
                 return None
 
             witness = extend(1, {frozenset([b0]): frozenset([c]), all_cols - {b0}: all_cols - {c}})
+            if witness is not None:
+                return witness
+    return None
+
+
+def rarest_first_refined_search(A, B, budget):
+    return refined_search(A, B, budget, rarest_first_order(B))
+
+
+class IndexOrderLevel:
+    """B's side of depth i of the index-order search: its cells, set by rows
+    0..i-1, and how row i splits them and profiles the rows on them."""
+
+    __slots__ = ("cells", "split", "wide", "cell_counts", "want", "profiles")
+
+    def __init__(self, cells, split=(), wide=(), cell_counts=(), want=(), profiles=()):
+        self.cells, self.split, self.wide = cells, split, wide
+        self.cell_counts, self.want, self.profiles = cell_counts, want, profiles
+
+
+class IndexOrderTarget:
+    """B's side of the index-order search: B dephased about (0, b0), its
+    rows and columns as value masks and packed count columns, and its depths,
+    in which depth i matches B's row i."""
+
+    def __init__(self, B):
+        n = B.n
+        self.B, self.n = B, n
+        self.b0 = b0 = next((j for j, x in enumerate(B.logs[0]) if x is not None), 0)
+        lb = _dephased(B, 0, b0)
+        self.sigs = _row_shapes(B, 0, b0, [_diff_hist(row, B.logs[0], B.m) for row in B.logs], {})
+        self.row_shape, self.col_shape = sorted(self.sigs), _col_shape(lb)
+        self.index = {x: k for k, x in enumerate(sorted({x for row in lb for x in row}))}
+        self.counted = max(1, len(self.index) - 1)
+        self.width = (n.bit_length() + 7) // 8
+        self.masks, self.packed = self.encode(lb)
+        self.levels = [IndexOrderLevel(()), self._level(1, (1 << b0, ((1 << n) - 1) ^ (1 << b0)))]
+
+    def encode(self, M):
+        n, index, counted, width = len(M), self.index, self.counted, self.width
+        masks = []
+        for row in M:
+            mask = [0] * len(index)
+            for v, x in enumerate(row):
+                mask[index[x]] |= 1 << v
+            masks.append(mask)
+        packed = []
+        for v in range(n):
+            column = bytearray(n * counted * width)
+            for u in range(n):
+                x = index[M[u][v]]
+                if x < counted:
+                    column[(u * counted + x) * width] = 1
+            packed.append(int.from_bytes(column, "little"))
+        return masks, packed
+
+    def counts(self, packed, cell):
+        total = 0
+        while cell:
+            low = cell & -cell
+            total += packed[low.bit_length() - 1]
+            cell ^= low
+        return total.to_bytes(self.n * self.counted * self.width, "little")
+
+    def profiles(self, counts):
+        size = self.counted * self.width
+        return list(zip(*[on_cell[k::size] for on_cell in counts for k in range(size)]))
+
+    def _level(self, i, cells):
+        if i == self.n:
+            return IndexOrderLevel(cells)
+        row = self.masks[i]
+        split = tuple(
+            (k, x, (cell & mask).bit_count()) for k, cell in enumerate(cells) for x, mask in enumerate(row) if cell & mask
+        )
+        wide = tuple(k for k, cell in enumerate(cells) if cell & (cell - 1))
+        if not wide:
+            return IndexOrderLevel(cells, split)
+        counts = [self.counts(self.packed, cells[k]) for k in wide]
+        profiles = self.profiles(counts)
+        return IndexOrderLevel(cells, split, wide, tuple(map(sorted, counts)), profiles[i], tuple(sorted(profiles)))
+
+    def level(self, i):
+        levels = self.levels
+        while len(levels) <= i:
+            last, prev_row = levels[-1], self.masks[len(levels) - 1]
+            cells = tuple(last.cells[k] & prev_row[x] for k, x, _ in last.split)
+            levels.append(self._level(len(levels), cells))
+        return levels[i]
+
+
+class IndexOrderAnchor:
+    """A's side of one anchor (r, c) in the index-order search."""
+
+    def __init__(self, A, target, budget, G, r, sigs):
+        n = A.n
+        self.A, self.target, self.budget = A, target, budget
+        self.masks, self.packed = target.encode(G)
+        self.rows_with = {}
+        for u, sig in enumerate(sigs):
+            self.rows_with.setdefault(sig, []).append(u)
+        self.used = [False] * n
+        self.used[r] = True
+        self.sigma = [r] + [-1] * (n - 1)
+
+    def extend(self, i, cells):
+        t = self.target
+        level = t.level(i)
+        if i == t.n:
+            tau = [0] * i
+            for b_cell, a_cell in zip(level.cells, cells):
+                for j, v in zip(_bits(b_cell), _bits(a_cell)):
+                    tau[j] = v
+            return _witness_from_maps(self.A, t.B, self.sigma, tau)
+        used, masks = self.used, self.masks
+        rows = self.rows_with[t.sigs[i]]
+        if level.wide:
+            counts = []
+            for k, want in zip(level.wide, level.cell_counts):
+                on_cell = t.counts(self.packed, cells[k])
+                if sorted(on_cell) != want:
+                    return None
+                counts.append(on_cell)
+            profiles = t.profiles(counts)
+            if tuple(sorted(profiles)) != level.profiles:
+                return None
+            rows = [u for u in rows if profiles[u] == level.want]
+        rows = [u for u in rows if not used[u]]
+        for u in rows:
+            if not self.budget.spend():
+                raise _OutOfBudget
+            row = masks[u]
+            parts = []
+            for k, x, size in level.split:
+                part = cells[k] & row[x]
+                if part.bit_count() != size:
+                    break
+                parts.append(part)
+            else:
+                used[u] = True
+                self.sigma[i] = u
+                witness = self.extend(i + 1, parts)
+                if witness is not None:
+                    return witness
+                used[u] = False
+                self.sigma[i] = -1
+        return None
+
+
+def index_order_search(A, B, budget):
+    """The bitset search with B's rows matched in index order, 0, 1, 2, ...
+    at depths 0, 1, 2, ...; otherwise the anchors, shape screens, cells and
+    prunes of ``_search``."""
+    n, m, la = A.n, A.m, A.logs
+    target = IndexOrderTarget(B)
+    anchor_zero = B.logs[0][target.b0] is None
+    full = (1 << n) - 1
+    for r in range(n):
+        hists = [_diff_hist(row, la[r], m) for row in la]
+        turned = {}
+        for c in range(n):
+            if (la[r][c] is None) != anchor_zero:
+                continue
+            sigs = _row_shapes(A, r, c, hists, turned)
+            if sorted(sigs) != target.row_shape:
+                continue
+            G = _dephased(A, r, c)
+            if _col_shape(G) != target.col_shape:
+                continue
+            witness = IndexOrderAnchor(A, target, budget, G, r, sigs).extend(1, [1 << c, full ^ (1 << c)])
             if witness is not None:
                 return witness
     return None
@@ -433,26 +637,30 @@ def run(search, A, B):
     return ("inequivalent" if witness is None else "equivalent"), witness, budget.used
 
 
-def assert_searches_agree(a, b):
+ORACLES = (old_search, parent_search, shape_filtered_search, index_order_search)
+
+
+def lifted(a, b):
     m = lcm(a.m, b.m)
-    A, B = a.lift(m), b.lift(m)
-    new_status, new_witness, new_nodes = run(current_search, A, B)
-    old_status, old_witness, old_nodes = run(old_search, A, B)
-    assert new_status == old_status
-    if not A.has_zero():
-        assert new_nodes <= old_nodes
-    for witness in (new_witness, old_witness):
-        if witness is not None:
-            assert witness.maps(A, B)
-    parent_status, parent_witness, parent_nodes = run(parent_search, A, B)
-    assert (new_status, witness_key(new_witness)) == (parent_status, witness_key(parent_witness))
-    assert new_nodes <= parent_nodes
-    shaped = run(shape_filtered_search, A, B)
-    assert (new_status, witness_key(new_witness)) == (shaped[0], witness_key(shaped[1]))
-    assert new_nodes <= shaped[2]
-    refined = run(refined_search, A, B)
-    assert (new_status, witness_key(new_witness), new_nodes) == (refined[0], witness_key(refined[1]), refined[2])
-    return new_status
+    return a.lift(m), b.lift(m)
+
+
+def assert_searches_agree(a, b, oracles=ORACLES):
+    """Every oracle reaches ``_search``'s status, every witness maps A onto
+    B, and the reference of the rarest-first order takes exactly
+    ``_search``'s nodes to the same witness."""
+    A, B = lifted(a, b)
+    status, witness, nodes = run(current_search, A, B)
+    for search in oracles:
+        other = run(search, A, B)
+        assert other[0] == status
+        if other[1] is not None:
+            assert other[1].maps(A, B)
+    if witness is not None:
+        assert witness.maps(A, B)
+    reference = run(rarest_first_refined_search, A, B)
+    assert (status, witness_key(witness), nodes) == (reference[0], witness_key(reference[1]), reference[2])
+    return status
 
 
 def butson(name):
@@ -474,46 +682,11 @@ def image(M, rng):
     return t.apply(M.lift(big))
 
 
-def paley_core(q):
+def paley_core(q, double=False):
+    """The bordered Paley conference matrix of order q + 1, or its double."""
     squares = {k * k % q for k in range(1, q)}
-    return to_butson(bordered_circulant([None] + [Monomial(0 if k in squares else 2) for k in range(1, q)]))
-
-
-@pytest.mark.parametrize("kind", ["H12", "C6"])
-def test_catalog_pairs_past_the_fingerprint(kind):
-    statuses = set()
-    for x, y in combinations_with_replacement("abcdefg", 2):
-        statuses.add(assert_searches_agree(butson(kind + x), butson(kind + y)))
-    assert statuses == {"equivalent", "inequivalent"}
-
-
-def test_seeded_monomial_images():
-    rng = random.Random(2903)
-    for kind in ("H12", "C6"):
-        for x in "abcdefg":
-            M = butson(kind + x)
-            for _ in range(2):
-                assert assert_searches_agree(M, image(M, rng)) == "equivalent"
-
-
-def test_images_where_only_whole_profiles_differ():
-    # at some nodes of these searches every cell's counts agree as multisets
-    # while the rows' profiles do not
-    for M, seed in ((butson("H12f"), 2), (paley_core(13), 0)):
-        assert assert_searches_agree(M, image(M, random.Random(seed))) == "equivalent"
-
-
-def test_row_swapped_paley_cores():
-    rng = random.Random(5)
-    for q in (5, 13):
-        C = paley_core(q)
-        for _ in range(3):
-            rows = list(range(C.n))
-            i, j = rng.sample(rows, 2)
-            rows[i], rows[j] = j, i
-            swapped = ButsonMatrix(C.m, [C.logs[r] for r in rows])
-            assert assert_searches_agree(C, swapped) == "equivalent"
-            assert assert_searches_agree(swapped, C) == "equivalent"
+    core = bordered_circulant([None] + [Monomial(0 if k in squares else 2) for k in range(1, q)])
+    return to_butson(double_orthogonal(core) if double else core)
 
 
 def random_matrix(n, m, zeros, rng):
@@ -522,22 +695,133 @@ def random_matrix(n, m, zeros, rng):
     return ButsonMatrix(m, [[None if zeros and j == perm[i] else rng.randrange(m) for j in range(n)] for i in range(n)])
 
 
-def test_random_small_matrices():
+def row_swapped(C, rng):
+    rows = list(range(C.n))
+    i, j = rng.sample(rows, 2)
+    rows[i], rows[j] = j, i
+    return ButsonMatrix(C.m, [C.logs[r] for r in rows])
+
+
+# The corpus: each function returns its pairs, the same on every call.
+
+
+def catalog_pairs(kind):
+    return [(butson(kind + x), butson(kind + y)) for x, y in combinations_with_replacement("abcdefg", 2)]
+
+
+def seeded_images():
+    rng = random.Random(2903)
+    pairs = []
+    for M in (butson(kind + x) for kind in ("H12", "C6") for x in "abcdefg"):
+        pairs += [(M, image(M, rng)) for _ in range(2)]
+    return pairs
+
+
+def whole_profile_images():
+    # at some nodes of these searches every cell's counts agree as multisets
+    # while the rows' profiles do not
+    return [(M, image(M, random.Random(seed))) for M, seed in ((butson("H12f"), 2), (paley_core(13), 0))]
+
+
+def row_swapped_cores():
+    rng = random.Random(5)
+    pairs = []
+    for q in (5, 13):
+        C = paley_core(q)
+        for _ in range(3):
+            swapped = row_swapped(C, rng)
+            pairs += [(C, swapped), (swapped, C)]
+    return pairs
+
+
+def random_small_pairs():
     # arbitrary values: dephased columns can coincide except at the sentinel
     rng = random.Random(71)
-    statuses = set()
+    pairs = []
     for _ in range(150):
         n, m, zeros = rng.randint(1, 6), rng.randint(1, 4), rng.random() < 0.7
         A = random_matrix(n, m, zeros, rng)
-        assert assert_searches_agree(A, image(A, rng)) == "equivalent"
-        statuses.add(assert_searches_agree(A, random_matrix(n, m, zeros, rng)))
+        pairs.append((A, image(A, rng)))
+        pairs.append((A, random_matrix(n, m, zeros, rng)))
+    return pairs
+
+
+def bordered_pairs():
+    solutions = [bordered_matrix(row, 4) for row in search_bordered_circulant(6, 4)]
+    return [(a, b) for a in solutions for b in solutions]
+
+
+CORPUS = (
+    lambda: catalog_pairs("H12"),
+    lambda: catalog_pairs("C6"),
+    seeded_images,
+    whole_profile_images,
+    row_swapped_cores,
+    random_small_pairs,
+    bordered_pairs,
+)
+
+
+@pytest.mark.parametrize("kind", ["H12", "C6"])
+def test_catalog_pairs_past_the_fingerprint(kind):
+    statuses = {assert_searches_agree(a, b) for a, b in catalog_pairs(kind)}
     assert statuses == {"equivalent", "inequivalent"}
 
 
+def test_seeded_monomial_images():
+    for a, b in seeded_images():
+        assert assert_searches_agree(a, b) == "equivalent"
+
+
+def test_images_where_only_whole_profiles_differ():
+    for a, b in whole_profile_images():
+        assert assert_searches_agree(a, b) == "equivalent"
+
+
+def test_row_swapped_paley_cores():
+    for a, b in row_swapped_cores():
+        assert assert_searches_agree(a, b) == "equivalent"
+
+
+def test_random_small_matrices():
+    pairs = random_small_pairs()
+    statuses = [assert_searches_agree(a, b) for a, b in pairs]
+    assert set(statuses[::2]) == {"equivalent"}  # the images
+    assert set(statuses) == {"equivalent", "inequivalent"}
+
+
 def test_bordered_solutions():
-    solutions = [bordered_matrix(row, 4) for row in search_bordered_circulant(6, 4)]
-    statuses = [assert_searches_agree(a, b) for a in solutions for b in solutions]
-    assert {"equivalent", "inequivalent"} == set(statuses)
+    statuses = {assert_searches_agree(a, b) for a, b in bordered_pairs()}
+    assert statuses == {"equivalent", "inequivalent"}
+
+
+def test_corpus_costs_no_more_nodes_than_the_index_order():
+    pairs = [lifted(a, b) for make in CORPUS for a, b in make()]
+    nodes = [(run(current_search, A, B)[2], run(index_order_search, A, B)[2]) for A, B in pairs]
+    rarest, index = map(sum, zip(*nodes))
+    assert rarest <= index
+    assert any(x != y for x, y in nodes)  # the order changes some searches
+
+
+def test_doubled_paley_images_follow_the_reference_order():
+    # order 28: the oracles without cells run out of nodes here
+    H = paley_core(13, double=True)
+    assert assert_searches_agree(H, image(H, random.Random(3601)), (index_order_search,)) == "equivalent"
+
+
+def test_match_order_is_the_reference_order():
+    targets = [butson(kind + x) for kind in ("H12", "C6") for x in "abcdefg"]
+    targets += [paley_core(q) for q in (5, 13, 17)] + [paley_core(q, double=True) for q in (5, 13)]
+    rng = random.Random(41)
+    targets += [image(M, rng) for M in targets]
+    reordered = 0
+    for B in targets:
+        t = _Target(B)
+        order = [t.level(i).row for i in range(B.n)]
+        assert order[0] == 0 and sorted(order) == list(range(B.n))
+        assert order == rarest_first_order(B)
+        reordered += order != list(range(B.n))
+    assert reordered > 0
 
 
 def screened_anchors(A, B):
@@ -581,13 +865,6 @@ def assert_screen_agrees(a, b):
     kept, by_columns = screened_anchors(A, B)
     assert kept == oracle_anchors(A, B)
     return len(kept), by_columns, A.n * A.n
-
-
-def row_swapped(C, rng):
-    rows = list(range(C.n))
-    i, j = rng.sample(rows, 2)
-    rows[i], rows[j] = j, i
-    return ButsonMatrix(C.m, [C.logs[r] for r in rows])
 
 
 def test_anchor_screen_keeps_the_oracles_anchors():
