@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 inequivalent,
-3 unknown/budget exhausted, 64 usage error.  All commands are deterministic:
+3 unknown/budget exhausted, 64 usage error, 74 standard output closed or
+full (EX_IOERR; one line on stderr).  All commands are deterministic:
 identical inputs produce byte-identical output (randomized checks take a
 --seed with a fixed default).
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
+import os
 import random
 import sys
 from functools import lru_cache
@@ -44,6 +46,7 @@ from .verify import (
 )
 
 USAGE_ERROR = 64
+OUTPUT_ERROR = 74
 
 
 class _Parser(argparse.ArgumentParser):
@@ -398,10 +401,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if handler is None:
             parser.print_usage(sys.stderr)
             return USAGE_ERROR
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"confhad: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except OSError as exc:  # handlers turn file errors into _UsageError: this is stdout
+        print(f"confhad: error: cannot write output: {exc}", file=sys.stderr)
+        _drop_stdout()
+        return OUTPUT_ERROR
+
+
+def _drop_stdout() -> None:
+    """Point the stdout file descriptor at the null device, so the flush at
+    interpreter exit finds no closed or full file to report."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no file behind it, or closed
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .matrices import ButsonMatrix, SymbolicMatrix, eval_exact
-from .verify import _diff_hist, check_hadamard, check_inverse_orthogonal
+from .verify import _check_hadamard_butson, _diff_hist, _pair_hists, check_inverse_orthogonal
 
 DEFAULT_BUDGET = 10**8
 
@@ -70,7 +70,9 @@ class Fingerprint:
         return out
 
 
-def _quadruple_counts(M: ButsonMatrix, skip_zeros: bool) -> tuple[dict[int, int], int]:
+def _quadruple_counts(
+    M: ButsonMatrix, pairs: Counter[tuple[int, ...]], skip_zeros: bool
+) -> tuple[dict[int, int], int]:
     """Quadruple-value counts and the number of skipped (zero-touching) quadruples.
 
     For rows i, k the value at columns j, l is d[j] - d[l] with d = row_i - row_k,
@@ -78,10 +80,9 @@ def _quadruple_counts(M: ButsonMatrix, skip_zeros: bool) -> tuple[dict[int, int]
     of d over the s columns where both rows are nonzero, less the s terms j = l.
     The pair (k, i) negates d, which leaves that autocorrelation unchanged,
     and pairs with equal histograms share one autocorrelation, weighted by
-    their number.
+    their number: ``pairs`` is the ``Counter`` of M's ``_pair_hists``.
     """
-    n, m, logs = M.n, M.m, M.logs
-    pairs = Counter(_diff_hist(logs[i], logs[k], m) for i in range(n) for k in range(i + 1, n))
+    n, m = M.n, M.m
     counts: Counter[int] = Counter()
     skipped = 0
     for hist, w in pairs.items():
@@ -97,20 +98,20 @@ def _quadruple_counts(M: ButsonMatrix, skip_zeros: bool) -> tuple[dict[int, int]
     return {v: c for v, c in counts.items() if c}, skipped
 
 
-def _fingerprint(M: ButsonMatrix, skip_zeros: bool) -> Fingerprint:
-    counts, skipped = _quadruple_counts(M, skip_zeros)
+def _fingerprint(M: ButsonMatrix, pairs: Counter[tuple[int, ...]], skip_zeros: bool) -> Fingerprint:
+    counts, skipped = _quadruple_counts(M, pairs, skip_zeros)
     g = gcd(M.m, *counts)  # zeta_m^g generates the quadruple values
     return Fingerprint(M.n, M.m // g, tuple(sorted((v // g, c) for v, c in counts.items())), skipped)
 
 
 def fingerprint(M: ButsonMatrix) -> Fingerprint:
     """Equivalence invariant for zero-free exact matrices."""
-    return _fingerprint(M, skip_zeros=False)
+    return _fingerprint(M, Counter(_pair_hists(M.logs, M.m)), skip_zeros=False)
 
 
 def conference_fingerprint(M: ButsonMatrix) -> Fingerprint:
     """Fingerprint variant that skips quadruples touching zero cells."""
-    return _fingerprint(M, skip_zeros=True)
+    return _fingerprint(M, Counter(_pair_hists(M.logs, M.m)), skip_zeros=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,8 +143,29 @@ class MonomialTransform:
         return ButsonMatrix(A.m, logs)
 
     def maps(self, A: ButsonMatrix, B: ButsonMatrix) -> bool:
+        """Whether ``apply`` carries A onto B, over lcm(A.m, B.m, m).
+
+        Each cell is compared in place, zero status first, then
+        (row log + A cell + column log - B cell) with every term scaled to
+        the common order, which must vanish modulo it; no lifted matrix is
+        built.
+        """
+        if A.n != B.n:
+            return False
         big = lcm(A.m, B.m, self.m)
-        return self.apply(A.lift(big)).logs == B.lift(big).logs
+        sa, sb, step = big // A.m, big // B.m, big // self.m
+        la = A.logs
+        cols = [(self.col_perm[j], self.col_logs[j] * step) for j in range(A.n)]
+        for i, row in enumerate(B.logs):
+            src, r = la[self.row_perm[i]], self.row_logs[i] * step
+            for (k, c), y in zip(cols, row):
+                x = src[k]
+                if x is None or y is None:
+                    if x is not y:
+                        return False
+                elif (r + x * sa + c - y * sb) % big:
+                    return False
+        return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,36 +220,47 @@ def _bits(mask: int) -> list[int]:
 def _witness_from_maps(
     A: ButsonMatrix, B: ButsonMatrix, sigma: Sequence[int], tau: Sequence[int]
 ) -> Optional[MonomialTransform]:
-    """Solve the diagonals for B[i][j] = rd[i]+A[sigma i][tau j]+cd[j], verify."""
+    """Solve the diagonals for B[i][j] = rd[i]+A[sigma i][tau j]+cd[j], verify.
+
+    A and B share their root order m.  Rows and columns linked by a nonzero
+    cell of B form connected parts, and each part has its own gauge, rd = 0
+    at its lowest row.  One walk from that row reaches every row and column
+    of its part, and each reached value follows from the one cell it was
+    reached by; when the equations are consistent that is their only
+    solution in the gauge.  A column with no nonzero cell gets cd = 0.  The
+    walk reads only the cells it moves along, so ``maps`` checks every cell,
+    zero status included, and a wrong sigma or tau gives None.
+    """
     n, m = A.n, A.m
-    la, lb = A.logs, B.logs
-    for i in range(n):
-        for j in range(n):
-            if (lb[i][j] is None) != (la[sigma[i]][tau[j]] is None):
-                return None
-    # propagate rd/cd over the nonzero cells; each connected part of them has
-    # its own gauge, fixed by rd = 0 at its first row
+    lb = B.logs
+    rows = [A.logs[s] for s in sigma]  # row i of A under sigma
     rd: list[Optional[int]] = [None] * n
     cd: list[Optional[int]] = [None] * n
     for start in range(n):
         if rd[start] is not None:
             continue
         rd[start] = 0
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                for j in range(n):
-                    x = lb[i][j]
-                    if x is None:
+        todo = [start]
+        while todo:
+            i = todo.pop()
+            ri, row = rd[i], rows[i]
+            for j, x in enumerate(lb[i]):
+                if x is None or cd[j] is not None:
+                    continue
+                tj = tau[j]
+                a = row[tj]
+                if a is None:
+                    return None
+                cj = cd[j] = (x - a - ri) % m
+                for k in range(n):
+                    y = lb[k][j]
+                    if y is None or rd[k] is not None:
                         continue
-                    d = (x - la[sigma[i]][tau[j]]) % m
-                    if rd[i] is not None and cd[j] is None:
-                        cd[j] = (d - rd[i]) % m
-                        changed = True
-                    elif cd[j] is not None and rd[i] is None:
-                        rd[i] = (d - cd[j]) % m
-                        changed = True
+                    a = rows[k][tj]
+                    if a is None:
+                        return None
+                    rd[k] = (y - a - cj) % m
+                    todo.append(k)
     cd = [0 if v is None else v for v in cd]  # all-zero columns
     cand = MonomialTransform(m, tuple(sigma), tuple(tau), tuple(rd), tuple(cd))
     return cand if cand.maps(A, B) else None
@@ -606,10 +639,13 @@ def specialize_and_classify(
 ) -> list[EquivalenceClass]:
     """Evaluate at unit assignments, keep exact Hadamard results, classify.
 
-    Assignments give root-of-unity logs base zeta_order per symbol.  Matrices
-    are bucketed by fingerprint, each computed once, then refined by the
-    equivalence search, whose side of each class representative is built
-    once; an exhausted budget opens a fresh class flagged ``undecided``.
+    Assignments give root-of-unity logs base zeta_order per symbol.  Each
+    point's row-pair difference histograms (``_pair_hists``) are built once
+    and read twice: by the Butson Gram kernel of ``check_hadamard`` and by
+    the fingerprint.  Matrices are bucketed by fingerprint, then refined by
+    the equivalence search, whose side of each class representative is
+    built once; an exhausted budget opens a fresh class flagged
+    ``undecided``.
     """
     result = check_inverse_orthogonal(matrix)
     if not result:
@@ -619,9 +655,10 @@ def specialize_and_classify(
     targets: list[dict[int, _Target]] = []  # per class, by lifted order
     for asg in assignments:
         M = eval_exact(matrix, asg, order)
-        if not check_hadamard(M):
+        hists = Counter(_pair_hists(M.logs, M.m))
+        if not _check_hadamard_butson(M, hists):
             continue
-        fp = fingerprint(M)
+        fp = _fingerprint(M, hists, skip_zeros=False)
         placed = False
         hit_budget = False
         for cls, cls_fp, cls_targets in zip(classes, fingerprints, targets):

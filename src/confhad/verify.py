@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .cyclotomic import root_sum_is_zero
 from .matrices import ButsonMatrix, ComplexMatrix, SymbolicMatrix
@@ -143,24 +143,41 @@ def _hist_counts(hist: tuple[int, ...], m: int) -> list[int]:
     return counts
 
 
-def _gram_butson(logs, m: int) -> VerificationResult:
-    """sum_k zeta_m^(logs[i][k] - logs[j][k]) == 0 for every row pair i < j,
-    skipping columns where either cell is zero.  Pairs with equal
-    histograms share one exact test."""
+def _pair_hists(logs, m: int) -> Iterator[tuple[int, ...]]:
+    """``_diff_hist`` of every row pair i < j, in that order.  Its
+    ``Counter`` is the multiset that both the Butson Gram kernel and the
+    fingerprint's autocorrelation read, so a caller that needs both builds
+    that once."""
     n = len(logs)
-    vanishing = set()
     for i in range(n):
         row_i = logs[i]
         for j in range(i + 1, n):
-            hist = _diff_hist(row_i, logs[j], m)
-            if hist in vanishing:
-                continue
-            counts = _hist_counts(hist, m)
-            if not root_sum_is_zero(counts, m):
-                # the witness shows at most 16 root counts, then how many more
-                detail = counts if m <= 16 else f"{counts[:16]} (+{m - 16} more)"
-                return _fail(i, j, detail, "off-diagonal root sum != 0")
-            vanishing.add(hist)
+            yield _diff_hist(row_i, logs[j], m)
+
+
+def _gram_butson(logs, m: int, hists: Iterable[tuple[int, ...]]) -> VerificationResult:
+    """sum_k zeta_m^(logs[i][k] - logs[j][k]) == 0 for every row pair i < j,
+    skipping columns where either cell is zero.
+
+    ``hists`` is ``_pair_hists(logs, m)``, lazily, or its ``Counter``, whose
+    keys come in the order of their first pair.  Pairs with equal histograms
+    share one exact test, and every pair with a failing histogram fails, so
+    either way the first failing histogram is the first failing pair's,
+    which the witness finds again.
+    """
+    vanishing = set()
+    for hist in hists:
+        if hist in vanishing:
+            continue
+        counts = _hist_counts(hist, m)
+        if not root_sum_is_zero(counts, m):
+            n = len(logs)
+            pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+            i, j = next(pair for pair, h in zip(pairs, _pair_hists(logs, m)) if h == hist)
+            # the witness shows at most 16 root counts, then how many more
+            detail = counts if m <= 16 else f"{counts[:16]} (+{m - 16} more)"
+            return _fail(i, j, detail, "off-diagonal root sum != 0")
+        vanishing.add(hist)
     return _ok()
 
 
@@ -190,7 +207,16 @@ def check_conference(matrix: Union[SymbolicMatrix, ButsonMatrix]) -> Verificatio
                 return _fail(i, j, "zero off-diagonal cell", "structure")
     if isinstance(matrix, SymbolicMatrix):
         return _gram_symbolic(rows)
-    return _gram_butson(rows, matrix.m)
+    return _gram_butson(rows, matrix.m, _pair_hists(rows, matrix.m))
+
+
+def _check_hadamard_butson(matrix: ButsonMatrix, hists: Iterable[tuple[int, ...]]) -> VerificationResult:
+    """``check_hadamard`` on Butson input, given its ``_pair_hists`` as
+    ``_gram_butson`` takes them."""
+    for i, row in enumerate(matrix.logs):
+        if None in row:
+            return _fail(i, row.index(None), "zero cell", "not unimodular")
+    return _gram_butson(matrix.logs, matrix.m, hists)
 
 
 def _check_hadamard_complex(matrix: ComplexMatrix, tol: float) -> VerificationResult:
@@ -221,10 +247,7 @@ def check_hadamard(
 ) -> VerificationResult:
     """All cells unimodular and M * M^H == n*I (exact for Butson input)."""
     if isinstance(matrix, ButsonMatrix):
-        for i, row in enumerate(matrix.logs):
-            if None in row:
-                return _fail(i, row.index(None), "zero cell", "not unimodular")
-        return _gram_butson(matrix.logs, matrix.m)
+        return _check_hadamard_butson(matrix, _pair_hists(matrix.logs, matrix.m))
     if isinstance(matrix, ComplexMatrix):
         if not 0 < tol < math.inf:
             raise ValueError("tolerance must be finite and positive")

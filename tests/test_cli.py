@@ -425,3 +425,61 @@ def test_python_dash_m_runs_the_cli(capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run(capsys, "--list")[1]
+
+
+def _cli_env(buffered):
+    env = dict(os.environ, PYTHONPATH=str(Path(confhad.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"  # every print writes, so the write fails inside the command
+    return env
+
+
+def _assert_output_error(code, err):
+    assert code == cli.OUTPUT_ERROR == 74
+    assert err.count("\n") == 1 and err.startswith("confhad: error: cannot write output: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_full_stdout_exits_74_without_a_traceback(buffered):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "confhad", "build", "H12a"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=_cli_env(buffered),
+            text=True,
+            timeout=300,
+        )
+    _assert_output_error(proc.returncode, proc.stderr)
+    assert "No space left" in proc.stderr
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_stdout_closed_after_the_first_line_exits_74(capsys, buffered):
+    fcntl = pytest.importorskip("fcntl")
+    expected = run(capsys, "reconcile", "--all")[1]
+    read_end, write_end = os.pipe()
+    # the pipe holds less than the output after its first line, so the
+    # command is still writing when the reader goes away
+    size = fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    assert len(expected.encode()) > size + len(expected.splitlines()[0]) + 1
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "confhad", "reconcile", "--all"],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env=_cli_env(buffered),
+        text=True,
+    )
+    os.close(write_end)
+    first = b""
+    while not first.endswith(b"\n"):
+        first += os.read(read_end, 1)
+    os.close(read_end)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=300)
+    assert first.decode() == expected.splitlines(keepends=True)[0]
+    _assert_output_error(code, err)
+    assert "Broken pipe" in err

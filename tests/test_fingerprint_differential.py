@@ -5,7 +5,10 @@ The oracle below visits every ordered row pair i != k and column pair j != l,
 counts the quadruple value M[i][j] + M[k][l] - M[i][l] - M[k][j] (logs), and
 either skips or rejects the quadruples that touch a zero cell.  The kernel
 must return the same counts and the same number of skipped quadruples in
-both modes, and raise where the oracle raises.
+both modes, and raise where the oracle raises.  ``specialize_and_classify``
+builds each point's row-pair histograms once and hands the same multiset to
+the Hadamard check and then to the fingerprint; on the points of the
+families it classifies, that fingerprint must be ``fingerprint(M)``.
 """
 
 import random
@@ -14,7 +17,7 @@ from collections import Counter
 import pytest
 
 from confhad import catalog
-from confhad.equivalence import MonomialTransform, _quadruple_counts
+from confhad.equivalence import MonomialTransform, _fingerprint, _quadruple_counts, fingerprint
 from confhad.matrices import (
     ButsonMatrix,
     bordered_circulant,
@@ -23,7 +26,7 @@ from confhad.matrices import (
     to_butson,
 )
 from confhad.symbolic import Monomial
-from confhad.verify import _diff_hist
+from confhad.verify import _check_hadamard_butson, _diff_hist, _pair_hists, check_hadamard
 
 
 def old_quadruple_counts(M, skip_zeros):
@@ -53,17 +56,29 @@ def old_quadruple_counts(M, skip_zeros):
     return dict(counts), skipped
 
 
+def kernel(M, skip_zeros):
+    return _quadruple_counts(M, Counter(_pair_hists(M.logs, M.m)), skip_zeros)
+
+
 def assert_kernel_agrees(M):
     """Both modes; returns whether the Hadamard mode raised."""
-    assert _quadruple_counts(M, skip_zeros=True) == old_quadruple_counts(M, True)
+    assert kernel(M, skip_zeros=True) == old_quadruple_counts(M, True)
     try:
         want = old_quadruple_counts(M, False)
     except ValueError:
         with pytest.raises(ValueError, match="zero cell"):
-            _quadruple_counts(M, skip_zeros=False)
+            kernel(M, skip_zeros=False)
         return True
-    assert _quadruple_counts(M, skip_zeros=False) == want
+    assert kernel(M, skip_zeros=False) == want
     return False
+
+
+def assert_shared_multiset_agrees(M):
+    """The Hadamard check, then the fingerprint, read one multiset, as in
+    ``specialize_and_classify``."""
+    shared = Counter(_pair_hists(M.logs, M.m))
+    assert _check_hadamard_butson(M, shared) == check_hadamard(M)
+    assert _fingerprint(M, shared, skip_zeros=False) == fingerprint(M)
 
 
 def catalog_butson():
@@ -117,12 +132,16 @@ def test_kernel_matches_old_loop_on_images():
 
 def test_kernel_matches_old_loop_on_order4_points():
     rng = random.Random(912)
-    for name in ("O12a", "O12d", "O12h"):
+    for name in ("O12a", "O12d", "O12h"):  # the families classify12 classifies
         matrix = catalog.build_verified(name)
         symbols = sorted(matrix.symbols())
         for _ in range(4):
             point = {s: rng.randrange(4) for s in symbols}
             assert_kernel_agrees(eval_exact(matrix, point, 4))
+        for order, count in ((2, 8), (4, 24)):
+            for _ in range(count):
+                point = {s: rng.randrange(order) for s in symbols}
+                assert_shared_multiset_agrees(eval_exact(matrix, point, order))
 
 
 def test_kernel_matches_old_loop_on_paley():

@@ -5,11 +5,14 @@ The oracles below sum over every ordered row pair, skip exactly the columns
 the old code skipped (the two diagonal columns of a conference matrix), and
 accumulate symbolic products as exact Gaussian-integer coefficients per
 parameter part.  The kernels must agree with them on pass/fail and on the
-witness ``(i, j, str(detail), message)``.
+witness ``(i, j, str(detail), message)``.  The Butson kernel is also run on
+the ``Counter`` of a matrix's row-pair histograms, as
+``specialize_and_classify`` runs it, and must give the same witness.
 """
 
 import random
-from itertools import product
+from collections import Counter
+from itertools import islice, product
 
 from confhad import catalog
 from confhad.cyclotomic import root_sum_is_zero
@@ -23,7 +26,13 @@ from confhad.matrices import (
 )
 from confhad.search import bordered_matrix, circulant_matrix
 from confhad.symbolic import Monomial
-from confhad.verify import check_conference, check_hadamard, check_inverse_orthogonal
+from confhad.verify import (
+    _check_hadamard_butson,
+    _pair_hists,
+    check_conference,
+    check_hadamard,
+    check_inverse_orthogonal,
+)
 
 GAUSSIAN_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^0 .. i^3
 
@@ -129,6 +138,8 @@ def assert_butson_agrees(matrix):
     assert seen[0] == old_butson(matrix, True)
     seen.append(outcome(check_hadamard(matrix)))
     assert seen[-1] == old_butson(matrix, False)
+    shared = Counter(_pair_hists(matrix.logs, matrix.m))
+    assert outcome(_check_hadamard_butson(matrix, shared)) == seen[-1]
     return seen
 
 
@@ -223,6 +234,16 @@ def test_butson_kernel_matches_old_loop():
             seen.update(assert_butson_agrees(butson_image(B, rng, corrupt=draw >= 2)))
     messages = {None if s is None else s[3] for s in seen}
     assert messages == {None, "structure", "not unimodular", "off-diagonal root sum != 0"}
+    # Sylvester 8 with row 6's cells in columns 0 and 4 swapped: rows 0-3
+    # agree on those columns, so every pair before (4, 6) keeps the one
+    # vanishing histogram (4, 4) and (4, 6) is the first to fail
+    logs = [[bin(r & c).count("1") % 2 for c in range(8)] for r in range(8)]
+    logs[6][0], logs[6][4] = logs[6][4], logs[6][0]
+    for m in (2, 4):
+        late = ButsonMatrix(2, logs).lift(m)
+        assert len(set(islice(_pair_hists(late.logs, m), 23))) == 1  # the pairs before (4, 6)
+        _, hadamard = assert_butson_agrees(late)
+        assert hadamard[:2] == (4, 6)
 
 
 def test_butson_kernel_matches_old_loop_on_search_candidates():

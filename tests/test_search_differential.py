@@ -19,6 +19,12 @@ exactly ``_search``'s nodes to the same witness, and on catalog and Paley
 targets the order ``_search`` builds must be the reference's.  The anchor
 screen is also checked alone: the anchors whose turned row histograms and
 then dephased columns match B's must be exactly those ``same_shape`` keeps.
+
+At the leaf, ``sweep_witness`` (the former ``_witness_from_maps``, which
+swept every cell until no diagonal entry changed) and ``old_maps`` (apply
+to the lifted A, compare with the lifted B) are the oracles: the one-pass
+walk must return the same transform, or None where the sweep does, and
+``maps`` must answer as the lifted comparison does.
 """
 
 import random
@@ -667,9 +673,11 @@ def butson(name):
     return to_butson(catalog.build_verified(name))
 
 
-def image(M, rng):
-    """A seeded monomial image over 1-3x the root order, with independent row
-    and column permutations (which move a zero diagonal off the diagonal)."""
+def image_and_map(M, rng):
+    """A seeded monomial image of M over 1-3x its root order, with independent
+    row and column permutations (which move a zero diagonal off the
+    diagonal); also M lifted to that order and the transform that carries
+    it onto the image."""
     big = M.m * rng.choice((1, 2, 3))
     n = M.n
     t = MonomialTransform(
@@ -679,7 +687,12 @@ def image(M, rng):
         tuple(rng.randrange(big) for _ in range(n)),
         tuple(rng.randrange(big) for _ in range(n)),
     )
-    return t.apply(M.lift(big))
+    A = M.lift(big)
+    return A, t.apply(A), t
+
+
+def image(M, rng):
+    return image_and_map(M, rng)[1]
 
 
 def paley_core(q, double=False):
@@ -881,3 +894,170 @@ def test_anchor_screen_keeps_the_oracles_anchors():
         pairs += [(A, image(A, rng)), (A, random_matrix(n, m, zeros, rng))]
     kept, by_columns, anchors = map(sum, zip(*(assert_screen_agrees(a, b) for a, b in pairs)))
     assert 0 < kept < anchors and by_columns > 0  # both tests reject somewhere
+
+
+# The leaf: ``_witness_from_maps`` and ``MonomialTransform.maps`` against the
+# definitions they replaced.
+
+
+def old_maps(t, A, B):
+    """The former ``MonomialTransform.maps``: lift both, apply, compare."""
+    big = lcm(A.m, B.m, t.m)
+    return t.apply(A.lift(big)).logs == B.lift(big).logs
+
+
+def sweep_witness(A, B, sigma, tau):
+    """The former ``_witness_from_maps``: sweep all n^2 cells until no
+    diagonal entry changes, one gauge per connected part, verified by
+    ``old_maps``."""
+    n, m = A.n, A.m
+    la, lb = A.logs, B.logs
+    for i in range(n):
+        for j in range(n):
+            if (lb[i][j] is None) != (la[sigma[i]][tau[j]] is None):
+                return None
+    rd = [None] * n
+    cd = [None] * n
+    for start in range(n):
+        if rd[start] is not None:
+            continue
+        rd[start] = 0
+        changed = True
+        while changed:
+            changed = False
+            for i in range(n):
+                for j in range(n):
+                    x = lb[i][j]
+                    if x is None:
+                        continue
+                    d = (x - la[sigma[i]][tau[j]]) % m
+                    if rd[i] is not None and cd[j] is None:
+                        cd[j] = (d - rd[i]) % m
+                        changed = True
+                    elif cd[j] is not None and rd[i] is None:
+                        rd[i] = (d - cd[j]) % m
+                        changed = True
+    cd = [0 if v is None else v for v in cd]
+    cand = MonomialTransform(m, tuple(sigma), tuple(tau), tuple(rd), tuple(cd))
+    return cand if old_maps(cand, A, B) else None
+
+
+def assert_witness_agrees(A, B, sigma, tau):
+    """Returns whether a witness was found."""
+    want = sweep_witness(A, B, sigma, tau)
+    assert _witness_from_maps(A, B, sigma, tau) == want
+    return want is not None
+
+
+def wrong_maps(sigma, tau, rng):
+    """Row and column maps near (sigma, tau): one transposition in either,
+    both at random, and tau turned by one place, which moves every zero of a
+    permutation pattern off its partner."""
+    n = len(sigma)
+    out = [(tuple(rng.sample(range(n), n)), tuple(rng.sample(range(n), n))), (sigma, tau[1:] + tau[:1])]
+    if n > 1:
+        for which in (0, 1):
+            maps = [list(sigma), list(tau)]
+            i, j = rng.sample(range(n), 2)
+            maps[which][i], maps[which][j] = maps[which][j], maps[which][i]
+            out.append(tuple(map(tuple, maps)))
+    return out
+
+
+def sparse_matrix(n, m, rng):
+    """Random logs with about half the cells zero, so the nonzero cells may
+    fall into several connected parts and some columns may hold none."""
+    return ButsonMatrix(m, [[None if rng.random() < 0.5 else rng.randrange(m) for _ in range(n)] for _ in range(n)])
+
+
+def parts_and_empty_columns(M):
+    """The connected parts of M's nonzero cells (rows and columns linked by
+    a cell) that hold a column, and whether some column holds no cell."""
+    n = M.n
+    owner = list(range(2 * n))  # rows 0..n-1, columns n..2n-1
+
+    def find(u):
+        while owner[u] != u:
+            u = owner[u]
+        return u
+
+    for i in range(n):
+        for j in range(n):
+            if M.logs[i][j] is not None:
+                owner[find(i)] = find(n + j)
+    used = [any(row[j] is not None for row in M.logs) for j in range(n)]
+    return len({find(n + j) for j in range(n) if used[j]}), not all(used)
+
+
+def test_witness_matches_the_sweep_on_catalog_pairs():
+    rng = random.Random(1607)
+    found = wrong = 0
+    for kind in ("H12", "C6"):
+        for a, b in catalog_pairs(kind):
+            A, B = lifted(a, b)
+            witness = _search(A, _Target(B), _Budget(BUDGET))
+            if witness is not None:
+                found += assert_witness_agrees(A, B, witness.row_perm, witness.col_perm)
+                sigma, tau = witness.row_perm, witness.col_perm
+            else:
+                sigma = tau = tuple(range(A.n))
+            for s, t in wrong_maps(sigma, tau, rng):
+                wrong += not assert_witness_agrees(A, B, s, t)
+    assert found > 0 and wrong > 0
+
+
+def test_witness_matches_the_sweep_on_seeded_images():
+    rng = random.Random(1609)
+    sources = [butson(kind + x) for kind in ("H12", "C6") for x in "abcdefg"]
+    sources += [paley_core(13), paley_core(5, double=True)]
+    sources += [random_matrix(rng.randint(1, 7), rng.randint(1, 4), zeros, rng) for zeros in (False, True) * 20]
+    sources += [sparse_matrix(rng.randint(2, 7), rng.randint(1, 4), rng) for _ in range(60)]
+    wrong = zeros_moved = several_parts = empty_columns = 0
+    for M in sources:
+        A, B, t = image_and_map(M, rng)
+        assert assert_witness_agrees(A, B, t.row_perm, t.col_perm)
+        for sigma, tau in wrong_maps(t.row_perm, t.col_perm, rng):
+            wrong += not assert_witness_agrees(A, B, sigma, tau)
+            zeros_moved += any(
+                (B.logs[i][j] is None) != (A.logs[sigma[i]][tau[j]] is None) for i in range(A.n) for j in range(A.n)
+            )
+        parts, empty = parts_and_empty_columns(B)
+        several_parts += parts > 1
+        empty_columns += empty
+    assert wrong and zeros_moved and several_parts and empty_columns
+
+
+def test_maps_matches_the_lifted_comparison():
+    rng = random.Random(1613)
+    true_images = perturbed = orders_differ = 0
+    for _ in range(300):
+        n, ma, mt = rng.randint(1, 6), rng.choice((1, 2, 3, 4, 6)), rng.choice((1, 2, 3, 4, 5, 6))
+        A = sparse_matrix(n, ma, rng) if rng.random() < 0.5 else random_matrix(n, ma, rng.random() < 0.5, rng)
+        t = MonomialTransform(
+            mt,
+            tuple(rng.sample(range(n), n)),
+            tuple(rng.sample(range(n), n)),
+            tuple(rng.randrange(-2 * mt, 3 * mt) for _ in range(n)),  # logs need not be reduced
+            tuple(rng.randrange(-2 * mt, 3 * mt) for _ in range(n)),
+        )
+        image = t.apply(A)
+        # B over an order that differs from A's and t's: a multiple of the
+        # image's, or the smallest that holds it
+        B = image.lift(image.m * rng.choice((2, 3))) if rng.random() < 0.7 else image.reduce_order()
+        orders_differ += len({A.m, B.m, t.m}) == 3
+        assert t.maps(A, B) == old_maps(t, A, B)
+        true_images += t.maps(A, B)
+        unrelated = random_matrix(n, B.m, False, rng)
+        assert t.maps(A, unrelated) == old_maps(t, A, unrelated)
+        # single-cell changes of the true image: the other zero status, or
+        # another value
+        for i in range(n):
+            for j in range(n):
+                x = B.logs[i][j]
+                for y in {None, 0, 1 % B.m, B.m - 1, rng.randrange(B.m)} - {x}:
+                    logs = [list(row) for row in B.logs]
+                    logs[i][j] = y
+                    C = ButsonMatrix(B.m, logs)
+                    assert not t.maps(A, C) and not old_maps(t, A, C)
+                    perturbed += 1
+    assert true_images == 300 and perturbed > 0 and orders_differ > 100
