@@ -136,7 +136,8 @@ def repairs(name: str) -> tuple[CellRepair, ...]:
 
 @lru_cache(maxsize=None)
 def build(name: str) -> Union[SymbolicMatrix, ExponentMatrix, ComplexMatrix]:
-    """The verbatim printed transcription; families evaluate at zero phases."""
+    """The verbatim printed transcription.  A family is ``family_matrix(name,
+    {})``, which evaluates the verified components, not the printed ones."""
     k = kind(name)
     if k == "exponent":
         return parse_exponent(_data_text(f"{name}.exp"))

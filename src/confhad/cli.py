@@ -312,6 +312,8 @@ def _cmd_specialize(args) -> int:
     matrix = catalog.build_verified(name)
     if not isinstance(matrix, SymbolicMatrix) or matrix.is_constant:
         raise _UsageError(f"{name} has no free symbols to specialize")
+    if matrix.has_zero():
+        raise _UsageError(f"{name} has zero cells; specialize takes an inverse orthogonal entry")
     symbols = sorted(matrix.symbols())
     assignments = []
     for bits in range(2 ** len(symbols)):

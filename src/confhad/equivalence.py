@@ -578,8 +578,8 @@ def are_equivalent(
     """
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    zeros = len(a.zero_positions())
-    if zeros != len(b.zero_positions()):
+    zeros = sum(row.count(None) for row in a.logs)
+    if zeros != sum(row.count(None) for row in b.logs):
         return EquivalenceVerdict("inequivalent", None, "zero cell counts differ", 0)
     if zeros:
         _check_zero_pattern(a)
@@ -589,28 +589,28 @@ def are_equivalent(
         fa, fb = fingerprint(a), fingerprint(b)
     if fa != fb:
         return EquivalenceVerdict("inequivalent", None, "fingerprint mismatch", 0)
-    return _search_verdict(a, b, budget)
+    return _search_verdict(a, b, budget, {})
 
 
 def _search_verdict(
-    a: ButsonMatrix, b: ButsonMatrix, budget: int, targets: Optional[dict[int, _Target]] = None
+    a: ButsonMatrix, b: ButsonMatrix, budget: int, targets: dict[int, _Target]
 ) -> EquivalenceVerdict:
     """Decide a against b (same size) by search alone.
 
     Zero cells, if any, must form permutation patterns.  No invariant is
     consulted, so the verdict is "equivalent" with a witness verified on a
-    and b, "inequivalent" by exhausted search, or "unknown".  ``targets``
-    keeps b's search side by lifted order for later calls against b.
+    and b, "inequivalent" by exhausted search, or "unknown".  It runs at
+    lcm(a.m, b.m): a lift scales every log alike, unseen by a search that
+    compares values only for equality and order.  ``targets`` keeps b's
+    search side by that order for later calls against b.
     """
-    a0, b0 = a.reduce_order(), b.reduce_order()
-    m = lcm(a0.m, b0.m)
-    targets = {} if targets is None else targets
+    m = lcm(a.m, b.m)
     target = targets.get(m)
     if target is None:
-        target = targets[m] = _Target(b0.lift(m))
+        target = targets[m] = _Target(b.lift(m))
     tracker = _Budget(budget)
     try:
-        witness = _search(a0.lift(m), target, tracker)
+        witness = _search(a.lift(m), target, tracker)
     except _OutOfBudget:
         return EquivalenceVerdict("unknown", None, "budget exhausted", tracker.used)
     if witness is not None:
@@ -650,29 +650,23 @@ def specialize_and_classify(
     result = check_inverse_orthogonal(matrix)
     if not result:
         raise ValueError(f"matrix is not inverse orthogonal: {result.describe()}")
-    classes: list[EquivalenceClass] = []
-    fingerprints: list[Fingerprint] = []
-    targets: list[dict[int, _Target]] = []  # per class, by lifted order
+    found: list[tuple[EquivalenceClass, Fingerprint, dict[int, _Target]]] = []
     for asg in assignments:
         M = eval_exact(matrix, asg, order)
         hists = Counter(_pair_hists(M.logs, M.m))
         if not _check_hadamard_butson(M, hists):
             continue
         fp = _fingerprint(M, hists, skip_zeros=False)
-        placed = False
         hit_budget = False
-        for cls, cls_fp, cls_targets in zip(classes, fingerprints, targets):
+        for cls, cls_fp, targets in found:
             if cls_fp != fp:
                 continue
-            verdict = _search_verdict(M, cls.representative, budget, cls_targets)
+            verdict = _search_verdict(M, cls.representative, budget, targets)
             if verdict.equivalent:
                 cls.assignments.append(dict(asg))
-                placed = True
                 break
             if verdict.status == "unknown":
                 hit_budget = True
-        if not placed:
-            classes.append(EquivalenceClass(M, [dict(asg)], undecided=hit_budget))
-            fingerprints.append(fp)
-            targets.append({})
-    return classes
+        else:
+            found.append((EquivalenceClass(M, [dict(asg)], undecided=hit_budget), fp, {}))
+    return [cls for cls, _, _ in found]

@@ -22,6 +22,14 @@ from .cyclotomic import minimal_root_order
 from .symbolic import Entry, Monomial, ONE, entry_str, parse_entry
 
 
+def _square(grid: tuple[tuple, ...]) -> int:
+    """The size n of an n-by-n grid; ValueError unless square and nonempty."""
+    n = len(grid)
+    if n == 0 or any(len(row) != n for row in grid):
+        raise ValueError("matrix must be square and nonempty")
+    return n
+
+
 class SymbolicMatrix:
     """Square grid of unit-monomial cells (None marks a zero cell)."""
 
@@ -29,14 +37,11 @@ class SymbolicMatrix:
 
     def __init__(self, rows: Iterable[Iterable[Entry]]) -> None:
         grid = tuple(tuple(row) for row in rows)
-        n = len(grid)
-        if n == 0 or any(len(row) != n for row in grid):
-            raise ValueError("matrix must be square and nonempty")
+        self.n = _square(grid)
         for row in grid:
             for cell in row:
                 if cell is not None and not isinstance(cell, Monomial):
                     raise TypeError(f"bad cell {cell!r}")
-        self.n = n
         self.rows = grid
 
     @classmethod
@@ -96,9 +101,6 @@ class AffinePhase:
             value += c * phases[sym]
         return value
 
-    def symbols(self) -> set[str]:
-        return {s for s, _ in self.terms}
-
     def __str__(self) -> str:
         parts: list[str] = []
         if self.const or not self.terms:
@@ -149,10 +151,7 @@ class ExponentMatrix:
 
     def __init__(self, cells: Iterable[Iterable[PhaseCell]]) -> None:
         grid = tuple(tuple(row) for row in cells)
-        n = len(grid)
-        if n == 0 or any(len(row) != n for row in grid):
-            raise ValueError("matrix must be square and nonempty")
-        self.n = n
+        self.n = _square(grid)
         self.cells = grid
 
     def __getitem__(self, i: int) -> tuple[PhaseCell, ...]:
@@ -186,10 +185,7 @@ class ButsonMatrix:
         grid = tuple(
             tuple(None if c is None else c % m for c in row) for row in logs
         )
-        n = len(grid)
-        if n == 0 or any(len(row) != n for row in grid):
-            raise ValueError("matrix must be square and nonempty")
-        self.n = n
+        self.n = _square(grid)
         self.m = m
         self.logs = grid
 
@@ -208,14 +204,6 @@ class ButsonMatrix:
 
     def has_zero(self) -> bool:
         return any(c is None for row in self.logs for c in row)
-
-    def zero_positions(self) -> set[tuple[int, int]]:
-        return {
-            (i, j)
-            for i in range(self.n)
-            for j in range(self.n)
-            if self.logs[i][j] is None
-        }
 
     def lift(self, big: int) -> "ButsonMatrix":
         if big == self.m:
@@ -257,10 +245,7 @@ class ComplexMatrix:
 
     def __init__(self, rows: Iterable[Iterable[complex]]) -> None:
         grid = tuple(tuple(complex(c) for c in row) for row in rows)
-        n = len(grid)
-        if n == 0 or any(len(row) != n for row in grid):
-            raise ValueError("matrix must be square and nonempty")
-        self.n = n
+        self.n = _square(grid)
         self.rows = grid
 
     def __getitem__(self, i: int) -> tuple[complex, ...]:
@@ -449,10 +434,7 @@ def to_butson(matrix: SymbolicMatrix) -> ButsonMatrix:
     """Exact numeric form of a constant matrix (4th roots), order-reduced."""
     if not matrix.is_constant:
         raise ValueError("matrix has free symbols")
-    logs = [
-        [None if cell is None else cell.ipow for cell in row] for row in matrix.rows
-    ]
-    return ButsonMatrix(4, logs).reduce_order()
+    return eval_exact(matrix, {}, 4)
 
 
 def eval_exact(

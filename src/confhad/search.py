@@ -2,7 +2,7 @@
 
 Candidates are first rows over m-th roots of unity (log form, ``None`` for the
 fixed leading zero).  Three exact steps cut the enumeration; 2 and 3 test
-root sums with ``root_sum_is_zero`` on ``_diff_hist`` histograms:
+root sums with ``verify._vanishes`` on ``_diff_hist`` histograms:
 
 1. global scaling is a symmetry: c1 = 0 is fixed, and each surviving row is
    expanded back to its m scalings;
@@ -22,9 +22,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
-from .cyclotomic import root_sum_is_zero
 from .matrices import ButsonMatrix, _bordered_grid, _circulant_grid
-from .verify import _diff_hist, _hist_counts, check_conference
+from .verify import _diff_hist, _vanishes, check_conference
 
 CoreRow = tuple[Optional[int], ...]
 
@@ -42,18 +41,12 @@ def _shift_filter(k: int, m: int, bordered: bool) -> Callable[[CoreRow], bool]:
     border = (0,) if bordered else ()
     zeros = (0,) * k
 
-    def vanishes(hist: tuple[int, ...]) -> bool:
-        ok = verdicts.get(hist)
-        if ok is None:
-            ok = verdicts[hist] = root_sum_is_zero(_hist_counts(hist, m), m)
-        return ok
-
     def passes(row: CoreRow) -> bool:
-        if bordered and not vanishes(_diff_hist(row, zeros, m)):
+        if bordered and not _vanishes(_diff_hist(row, zeros, m), m, verdicts):
             return False
         first = border + row
         return all(
-            vanishes(_diff_hist(first, border + row[s:] + row[:s], m))
+            _vanishes(_diff_hist(first, border + row[s:] + row[:s], m), m, verdicts)
             for s in range(1, k // 2 + 1)
         )
 

@@ -71,13 +71,6 @@ class Monomial:
     def __pow__(self, n: int) -> "Monomial":
         return Monomial(self.ipow * n, tuple((s, e * n) for s, e in self.exps))
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.exps
-
-    def symbols(self) -> set[str]:
-        return {s for s, _ in self.exps}
-
     def substitute(self, mapping: Mapping[str, "Monomial"]) -> "Monomial":
         """Replace symbols by unit monomials; unmapped symbols stay formal."""
         out = Monomial(self.ipow)

@@ -143,6 +143,14 @@ def _hist_counts(hist: tuple[int, ...], m: int) -> list[int]:
     return counts
 
 
+def _vanishes(hist: tuple[int, ...], m: int, verdicts: dict[tuple[int, ...], bool]) -> bool:
+    """Whether the m-th roots counted by ``hist`` sum to zero, memoised in ``verdicts``."""
+    ok = verdicts.get(hist)
+    if ok is None:
+        ok = verdicts[hist] = root_sum_is_zero(_hist_counts(hist, m), m)
+    return ok
+
+
 def _pair_hists(logs, m: int) -> Iterator[tuple[int, ...]]:
     """``_diff_hist`` of every row pair i < j, in that order.  Its
     ``Counter`` is the multiset that both the Butson Gram kernel and the
@@ -165,19 +173,16 @@ def _gram_butson(logs, m: int, hists: Iterable[tuple[int, ...]]) -> Verification
     either way the first failing histogram is the first failing pair's,
     which the witness finds again.
     """
-    vanishing = set()
+    verdicts: dict[tuple[int, ...], bool] = {}
     for hist in hists:
-        if hist in vanishing:
-            continue
-        counts = _hist_counts(hist, m)
-        if not root_sum_is_zero(counts, m):
+        if not _vanishes(hist, m, verdicts):
             n = len(logs)
             pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
             i, j = next(pair for pair, h in zip(pairs, _pair_hists(logs, m)) if h == hist)
             # the witness shows at most 16 root counts, then how many more
+            counts = _hist_counts(hist, m)
             detail = counts if m <= 16 else f"{counts[:16]} (+{m - 16} more)"
             return _fail(i, j, detail, "off-diagonal root sum != 0")
-        vanishing.add(hist)
     return _ok()
 
 

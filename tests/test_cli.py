@@ -235,6 +235,34 @@ def test_specialize_family_is_a_usage_error(capsys):
             assert (code, out) == (64, "") and "continuous family" in err
 
 
+def test_specialize_conference_entry_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "specialize", "C6pq")
+    assert (code, out) == (64, "")
+    assert err == "confhad: error: C6pq has zero cells; specialize takes an inverse orthogonal entry\n"
+
+
+SWEEP = [
+    ["build"],
+    ["build", "--verified"],
+    ["derive"],
+    ["verify"],
+    ["verify", "--numeric"],
+    ["verify", "--verified"],
+    ["fingerprint"],
+    ["specialize"],
+    ["reconcile"],
+]
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_every_command_on_every_catalog_name_exits_with_a_documented_code(capsys, name):
+    """Each command taking a catalog name either runs or fails with a
+    documented exit code, never with an exception."""
+    for command in SWEEP + [["equiv", name]]:
+        code, _, _ = run(capsys, command[0], name, *command[1:])
+        assert code in (0, 1, 2, 3, 64), (command, code)
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "build", "NOPE")[0] == 64
     assert run(capsys, "equiv", "O12a", "H12a")[0] == 64  # free symbols

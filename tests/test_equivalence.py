@@ -333,7 +333,7 @@ class TestSearchVerdict:
         pairs.append(o12d_twin_points())
         reasons = set()
         for a, b in pairs:
-            verdict = _search_verdict(a, b, 10**8)
+            verdict = _search_verdict(a, b, 10**8, {})
             reasons.add(verdict.reason)
             if verdict.equivalent:
                 assert verdict.reason == "witness found" and verdict.witness.maps(a, b)
@@ -347,8 +347,31 @@ class TestSearchVerdict:
         from confhad.equivalence import _search_verdict
 
         a, b = o12d_twin_points()
-        verdict = _search_verdict(a, b, 3)
+        verdict = _search_verdict(a, b, 3, {})
         assert verdict.status == "unknown" and verdict.nodes == 3
+
+    def test_verdict_does_not_depend_on_the_input_orders(self):
+        """The search runs at the orders it is given; lifting either input
+        multiplies every log by one constant and changes neither the
+        status nor the node count."""
+        from confhad.equivalence import _search_verdict
+
+        rng = random.Random(1723)
+        groups = [[butson(f"H12{x}") for x in "adf"], [to_butson(catalog.build(f"C6{x}")) for x in "acfg"]]
+        pairs = [(a, b) for group in groups for a in group for b in group]
+        for M in (butson("H12d"), butson("H12f"), to_butson(catalog.build("C6f"))):
+            pairs.append((M, random_transform(M.n, M.m, rng).apply(M).reduce_order()))
+        pairs.append(o12d_twin_points())
+        for a, b in pairs:
+            assert a == a.reduce_order() and b == b.reduce_order()
+            base = _search_verdict(a, b, 10**8, {})
+            for ka, kb in [(2, 1), (1, 3), (2, 2), (3, 2)]:
+                la, lb = a.lift(a.m * ka), b.lift(b.m * kb)
+                verdict = _search_verdict(la, lb, 10**8, {})
+                assert (verdict.status, verdict.nodes) == (base.status, base.nodes)
+                if verdict.equivalent:
+                    assert verdict.witness.maps(la, lb) and verdict.witness.maps(a, b)
+            assert base.status != "unknown"
 
 
 class TestSpecializeAndClassify:
