@@ -326,7 +326,7 @@ def _cmd_specialize(args) -> int:
     for idx, cls in enumerate(classes, start=1):
         tag = " (undecided bucket)" if cls.undecided else ""
         print(f"class {idx}: {cls.size} members{tag}")
-    return 0
+    return 3 if any(cls.undecided for cls in classes) else 0
 
 
 @lru_cache(maxsize=None)

@@ -631,6 +631,33 @@ class EquivalenceClass:
         return len(self.assignments)
 
 
+def _sorted_form(M: ButsonMatrix) -> tuple[tuple, list[int], list[int]]:
+    """M dephased about (0, 0), rows sorted, then columns sorted.
+
+    Returns the key (M.m with the form's columns) and the row and column
+    orders that sort it: cell (i, j) of the form is cell (sigma[i], tau[j])
+    of the dephased matrix.
+    """
+    D = _dephased(M, 0, 0)
+    sigma = sorted(range(M.n), key=D.__getitem__)
+    cols = list(zip(*[D[u] for u in sigma]))
+    tau = sorted(range(M.n), key=cols.__getitem__)
+    return (M.m, tuple(cols[v] for v in tau)), sigma, tau
+
+
+def _certify(A: ButsonMatrix, a_form: tuple, B: ButsonMatrix, b_form: tuple) -> Optional[MonomialTransform]:
+    """The witness carrying A onto B that their ``_sorted_form``s give, or None.
+
+    Equal keys mean B[u][v] = rd[u] + A[row_map u][col_map v] + cd[v], where
+    row_map takes B's row order onto A's and col_map its column order;
+    ``_witness_from_maps`` solves the diagonals and checks every cell.
+    """
+    (_, sigma_a, tau_a), (_, sigma_b, tau_b) = a_form, b_form
+    row_map = [a for _, a in sorted(zip(sigma_b, sigma_a))]
+    col_map = [a for _, a in sorted(zip(tau_b, tau_a))]
+    return _witness_from_maps(A, B, row_map, col_map)
+
+
 def specialize_and_classify(
     matrix: SymbolicMatrix,
     assignments: Iterable[Mapping[str, int]],
@@ -641,20 +668,36 @@ def specialize_and_classify(
 
     Assignments give root-of-unity logs base zeta_order per symbol.  Each
     point's row-pair difference histograms (``_pair_hists``) are built once
-    and read twice: by the Butson Gram kernel of ``check_hadamard`` and by
-    the fingerprint.  Matrices are bucketed by fingerprint, then refined by
-    the equivalence search, whose side of each class representative is
-    built once; an exhausted budget opens a fresh class flagged
-    ``undecided``.
+    and read by the Butson Gram kernel of ``check_hadamard`` and, when the
+    point goes to search, by the fingerprint.
+
+    A point is first placed by its ``_sorted_form``: dephasing is a diagonal
+    scaling and sorting permutes rows and columns, so points with one key
+    are equivalent, and ``_certify`` turns their sort orders into a witness
+    checked on every cell; the witness, not the key, is the proof.  A point
+    whose key matches an earlier point of a class not flagged ``undecided``,
+    by a witness that verifies, joins that class.  Any other point is
+    bucketed by fingerprint and searched against each class representative
+    in its bucket, whose search side is built once.  A search may spend
+    ``budget`` nodes; a point that no search placed and at least one left
+    undecided opens a fresh class flagged ``undecided``, which may be
+    equivalent to an earlier class.  Only points of classes not so flagged
+    record their form.
     """
     result = check_inverse_orthogonal(matrix)
     if not result:
         raise ValueError(f"matrix is not inverse orthogonal: {result.describe()}")
     found: list[tuple[EquivalenceClass, Fingerprint, dict[int, _Target]]] = []
+    forms: dict[tuple, tuple[EquivalenceClass, ButsonMatrix, tuple]] = {}
     for asg in assignments:
         M = eval_exact(matrix, asg, order)
         hists = Counter(_pair_hists(M.logs, M.m))
         if not _check_hadamard_butson(M, hists):
+            continue
+        form = _sorted_form(M)
+        seen = forms.get(form[0])
+        if seen is not None and _certify(seen[1], seen[2], M, form) is not None:
+            seen[0].assignments.append(dict(asg))
             continue
         fp = _fingerprint(M, hists, skip_zeros=False)
         hit_budget = False
@@ -663,10 +706,13 @@ def specialize_and_classify(
                 continue
             verdict = _search_verdict(M, cls.representative, budget, targets)
             if verdict.equivalent:
-                cls.assignments.append(dict(asg))
                 break
             if verdict.status == "unknown":
                 hit_budget = True
         else:
-            found.append((EquivalenceClass(M, [dict(asg)], undecided=hit_budget), fp, {}))
+            cls = EquivalenceClass(M, undecided=hit_budget)
+            found.append((cls, fp, {}))
+        cls.assignments.append(dict(asg))
+        if not cls.undecided:
+            forms.setdefault(form[0], (cls, M, form))
     return [cls for cls, _, _ in found]

@@ -1,4 +1,6 @@
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -226,6 +228,38 @@ def test_specialize(capsys):
     assert code == 0
     assert "64 Hadamard specializations" in out
     assert "class 1: 64 members" in out
+
+
+def test_specialize_exits_3_when_the_budget_leaves_classes_undecided(capsys):
+    code, out, _ = run(capsys, "specialize", "O12h", "--budget", "1")
+    assert code == 3
+    assert out.startswith("O12h: 128 Hadamard specializations") and "(undecided bucket)" in out
+    code, out, _ = run(capsys, "specialize", "O12a")
+    assert code == 0 and "undecided" not in out
+
+
+def _readme_commands() -> list[tuple[list[str], set[int]]]:
+    """The ``confhad`` lines of README's "Command line" block, each with
+    the exit codes its comment states (``exit 0/2/3``), or {0}."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        stated = re.search(r"\bexit (\d+(?:/\d+)*)", comment)
+        codes = {int(c) for c in stated.group(1).split("/")} if stated else {0}
+        commands.append((shlex.split(command), codes))
+    return commands
+
+
+def test_readme_command_block_runs_with_its_stated_exit_codes(capsys):
+    commands = _readme_commands()
+    assert ["confhad", "specialize", "O12h", "--budget", "1"] in [argv for argv, _ in commands]
+    for argv, codes in commands:
+        assert argv[0] == "confhad", argv
+        code, out, err = run(capsys, *argv[1:])
+        assert code in codes, (argv, code, err)
+        assert out, argv
 
 
 def test_specialize_family_is_a_usage_error(capsys):
