@@ -666,23 +666,25 @@ def specialize_and_classify(
 ) -> list[EquivalenceClass]:
     """Evaluate at unit assignments, keep exact Hadamard results, classify.
 
-    Assignments give root-of-unity logs base zeta_order per symbol.  Each
-    point's row-pair difference histograms (``_pair_hists``) are built once
-    and read by the Butson Gram kernel of ``check_hadamard`` and, when the
-    point goes to search, by the fingerprint.
-
-    A point is first placed by its ``_sorted_form``: dephasing is a diagonal
-    scaling and sorting permutes rows and columns, so points with one key
-    are equivalent, and ``_certify`` turns their sort orders into a witness
+    Assignments give root-of-unity logs base zeta_order per symbol.  A point
+    is first placed by its ``_sorted_form``: dephasing is a diagonal scaling
+    and sorting permutes rows and columns, so points with one key are
+    equivalent, and ``_certify`` turns their sort orders into a witness
     checked on every cell; the witness, not the key, is the proof.  A point
     whose key matches an earlier point of a class not flagged ``undecided``,
-    by a witness that verifies, joins that class.  Any other point is
-    bucketed by fingerprint and searched against each class representative
-    in its bucket, whose search side is built once.  A search may spend
-    ``budget`` nodes; a point that no search placed and at least one left
-    undecided opens a fresh class flagged ``undecided``, which may be
-    equivalent to an earlier class.  Only points of classes not so flagged
-    record their form.
+    by a witness that verifies, joins that class.  Forms are recorded only
+    for points that passed the exact Hadamard check, and a monomial image of
+    a Hadamard matrix is Hadamard, so a certified point is proven Hadamard by
+    its witness; a point that is not Hadamard gets no verified witness.
+
+    Any other point builds its row-pair difference histograms
+    (``_pair_hists``) once, for the Butson Gram kernel of ``check_hadamard``
+    and the fingerprint; if Hadamard, it is bucketed by fingerprint and
+    searched against each class representative in its bucket, whose search
+    side is built once.  A search may spend ``budget`` nodes; a point that no
+    search placed and at least one left undecided opens a fresh class flagged
+    ``undecided``, which may be equivalent to an earlier class.  Only points
+    of classes not so flagged record their form.
     """
     result = check_inverse_orthogonal(matrix)
     if not result:
@@ -691,13 +693,13 @@ def specialize_and_classify(
     forms: dict[tuple, tuple[EquivalenceClass, ButsonMatrix, tuple]] = {}
     for asg in assignments:
         M = eval_exact(matrix, asg, order)
-        hists = Counter(_pair_hists(M.logs, M.m))
-        if not _check_hadamard_butson(M, hists):
-            continue
         form = _sorted_form(M)
         seen = forms.get(form[0])
         if seen is not None and _certify(seen[1], seen[2], M, form) is not None:
             seen[0].assignments.append(dict(asg))
+            continue
+        hists = Counter(_pair_hists(M.logs, M.m))
+        if not _check_hadamard_butson(M, hists):
             continue
         fp = _fingerprint(M, hists, skip_zeros=False)
         hit_budget = False

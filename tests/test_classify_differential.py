@@ -26,7 +26,7 @@ from confhad.equivalence import (
     specialize_and_classify,
 )
 from confhad.matrices import ButsonMatrix, eval_exact
-from confhad.verify import _check_hadamard_butson, _pair_hists
+from confhad.verify import _check_hadamard_butson, _pair_hists, check_hadamard
 
 NAMES = [n for n in catalog.names() if n.startswith("O12")]
 ORDERS = (2, 3, 4)
@@ -121,13 +121,59 @@ def test_the_witness_not_the_key_places_a_point(name, order, monkeypatch):
     assert got == oracle_summary(name, order, DEFAULT_BUDGET)
 
 
+@pytest.mark.parametrize("name,order", CASES)
+def test_a_certified_point_that_is_not_hadamard_is_dropped(name, order, monkeypatch):
+    """One point is evaluated with one cell moved, so it is not Hadamard.
+    Its form collides with every earlier one, but no monomial image of a
+    recorded Hadamard point matches it cell by cell: it must reach the exact
+    check and be dropped, and every other point is classified as before."""
+    matrix, points = sample(name, order)
+    chosen = POINTS // 2
+    calls = []
+    evaluate = equivalence.eval_exact
+
+    def corrupt_one(*args):
+        M = evaluate(*args)
+        calls.append(1)
+        if len(calls) - 1 != chosen:
+            return M
+        logs = [list(row) for row in M.logs]
+        logs[3][5] += 1
+        return ButsonMatrix(M.m, logs)
+
+    monkeypatch.setattr(equivalence, "eval_exact", corrupt_one)
+    monkeypatch.setattr(
+        equivalence, "_sorted_form", lambda M: ((), list(range(M.n)), list(range(M.n)))
+    )
+    got = summary(specialize_and_classify(matrix, points, order))
+    rest = points[:chosen] + points[chosen + 1 :]
+    assert sum(len(asg) for _, _, asg, _ in got) == POINTS - 1
+    assert got == summary(oracle(matrix, rest, order, DEFAULT_BUDGET))
+
+
+@pytest.mark.parametrize("name,order", CASES)
+def test_every_classified_point_is_hadamard(name, order):
+    """Certified points skip the Gram check; re-evaluated apart from the
+    classifier, each member of each class passes ``check_hadamard``."""
+    matrix, points = sample(name, order)
+    classes = specialize_and_classify(matrix, points, order)
+    assert sum(c.size for c in classes) == POINTS
+    for cls in classes:
+        for asg in cls.assignments:
+            assert check_hadamard(eval_exact(matrix, asg, order))
+
+
+def sign_points(matrix):
+    symbols = sorted(matrix.symbols())
+    return [{s: (bits >> k) & 1 for k, s in enumerate(symbols)} for bits in range(2 ** len(symbols))]
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_certificates_place_the_sign_points(name, monkeypatch):
     """Sign points differ mostly by row and column negations, which leave
     the form about (0, 0) alone, so nearly all skip the search."""
     matrix = catalog.build_verified(name)
-    symbols = sorted(matrix.symbols())
-    points = [{s: (bits >> k) & 1 for k, s in enumerate(symbols)} for bits in range(2 ** len(symbols))]
+    points = sign_points(matrix)
     searches = []
     search = equivalence._search_verdict
     monkeypatch.setattr(
@@ -136,6 +182,22 @@ def test_certificates_place_the_sign_points(name, monkeypatch):
     classes = specialize_and_classify(matrix, points, 2)
     assert [c.size for c in classes] == [len(points)]
     assert len(searches) <= 3
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_certified_sign_points_build_no_histograms(name, monkeypatch):
+    """Only a point that no certificate places builds its row-pair
+    histograms for the Gram check and the fingerprint."""
+    matrix = catalog.build_verified(name)
+    points = sign_points(matrix)
+    builds = []
+    pair_hists = equivalence._pair_hists
+    monkeypatch.setattr(
+        equivalence, "_pair_hists", lambda *args: builds.append(1) or pair_hists(*args)
+    )
+    classes = specialize_and_classify(matrix, points, 2)
+    assert [c.size for c in classes] == [len(points)]
+    assert len(builds) <= 4
 
 
 def test_equal_forms_give_a_verified_witness():
