@@ -9,10 +9,11 @@ order, so "inequivalent by exhausted search" is relative to that notion.
 
 One search serves Hadamard and conference inputs.  It dephases B about one
 cell and A about every cell in turn, which removes the diagonals, and skips
-every anchor whose dephased matrix has other sorted rows or columns than B's
-(no witness passes through it): rows first, from the histograms of row
-differences that the fingerprint and the Butson Gram check also count, and
-only then columns, on the dephased matrix.  Then it matches rows.  The
+every anchor (no witness passes through it) where one of three quantities
+that row and column permutations keep differs from B's: the sorted rows, from
+the histograms of row differences that the fingerprint and the Butson Gram
+check also count; the sorted columns of the dephased matrix; and, on a +-1
+target, the row-triple profile ``_triples``.  Then it matches rows.  The
 columns a B column may map to are held as cells (a set of B columns with the
 set of A columns they may take), which every matched row splits by value.  Two
 prunes refine rows and columns together, after McKay-Piperno ("Practical
@@ -326,6 +327,16 @@ def _col_shape(M: list[list[int]]) -> list[tuple[int, ...]]:
     return sorted(_row_signature(col) for col in zip(*M))
 
 
+def _triples(M: list[list[int]], value: int) -> Counter[int]:
+    """Counts of popcount(g_u ^ g_w ^ g_x) over unordered row triples of M,
+    g_u masking row u's cells equal to ``value``.  On a +-1 matrix H dephased
+    about (r, c), n - 2 * popcount is +-(sum over columns of H_u H_w H_x H_r):
+    the row-quadruple profile of Cooper, Milas and Wallis through row r."""
+    masks = [sum(1 << v for v, x in enumerate(row) if x == value) for row in M]
+    pairs = [(gu ^ masks[w], w + 1) for u, gu in enumerate(masks) for w in range(u + 1, len(masks))]
+    return Counter([(gp ^ gx).bit_count() for gp, x in pairs for gx in masks[x:]])
+
+
 class _Level:
     """B's side of search depth i: ``row``, the B row matched there, and its
     cells, set by the rows of depths 0..i-1.
@@ -358,7 +369,9 @@ class _Target:
     columns holds every row's counts on that cell.
     """
 
-    __slots__ = ("B", "n", "b0", "sigs", "row_shape", "col_shape", "index", "counted", "width", "masks", "packed", "levels")
+    __slots__ = (
+        "B", "n", "b0", "sigs", "row_shape", "col_shape", "triples", "index", "counted", "width", "masks", "packed", "levels"
+    )
 
     def __init__(self, B: ButsonMatrix) -> None:
         n = B.n
@@ -367,7 +380,10 @@ class _Target:
         lb = _dephased(B, 0, b0)
         self.sigs = _row_shapes(B, 0, b0, [_diff_hist(row, B.logs[0], B.m) for row in B.logs], {})
         self.row_shape, self.col_shape = sorted(self.sigs), _col_shape(lb)
-        self.index = {x: k for k, x in enumerate(sorted({x for row in lb for x in row}))}
+        values = {x for row in lb for x in row}
+        two_valued = B.m % 2 == 0 and values <= {0, B.m // 2}  # +-1 after dephasing, no zero
+        self.triples = _triples(lb, B.m // 2) if two_valued else None
+        self.index = {x: k for k, x in enumerate(sorted(values))}
         self.counted = max(1, len(self.index) - 1)
         self.width = (n.bit_length() + 7) // 8
         self.masks, self.packed = self.encode(lb)
@@ -512,14 +528,20 @@ def _search(A: ButsonMatrix, target: _Target, budget: _Budget) -> Optional[Monom
 
     B is dephased about (0, b0) and A about (r, c).  A witness through that
     anchor carries one dephased matrix onto the other by a row and a column
-    permutation, sentinels included, so an anchor whose sorted rows or
-    columns differ from B's is skipped before it costs a node.  The rows are
-    compared first and without dephasing: when the loop reaches row r it
-    takes the histogram of every row's differences to row r, and at (r, c)
-    row u's sorted values are that histogram turned by A[r][c] - A[u][c].
-    Only an anchor whose rows pass is dephased and its columns compared.
-    B's rows are then matched in ``target``'s order, each onto A's unused
-    rows with the same values.
+    permutation, sentinels included, so an anchor is skipped before it costs
+    a node where a quantity those permutations keep differs from B's.  The
+    rows are compared first and without dephasing: when the loop reaches row
+    r it takes the histogram of every row's differences to row r, and at
+    (r, c) row u's sorted values are that histogram turned by A[r][c] -
+    A[u][c].  Only an anchor whose rows pass is dephased and its columns
+    compared.  When B's dephased matrix is +-1 (logs 0 and m/2), a third
+    test compares ``_triples``, whose triples a row permutation reorders as a
+    column permutation does each mask's bits.  A real Hadamard matrix passes
+    the first two tests at every anchor, so without it a wrong anchor fails
+    only depths down, after about n^2 nodes.  Skipped anchors hold no witness
+    and the rest run in order, so status and witness never change.  B's rows
+    are then matched in ``target``'s order, each onto A's unused rows with
+    the same values.
 
     The columns are held as cells: a set of B's columns paired with the set
     of A's columns they may map to, first {b0} -> {c} and the rest -> the
@@ -561,6 +583,8 @@ def _search(A: ButsonMatrix, target: _Target, budget: _Budget) -> Optional[Monom
             G = _dephased(A, r, c)
             if _col_shape(G) != target.col_shape:
                 continue
+            if target.triples is not None and _triples(G, m // 2) != target.triples:
+                continue
             witness = _Anchor(A, target, budget, G, r, sigs).extend(1, [1 << c, full ^ (1 << c)])
             if witness is not None:
                 return witness
@@ -573,8 +597,8 @@ def are_equivalent(
     """Decide monomial equivalence of two exact matrices.
 
     Sound both ways: "equivalent" always carries a verified witness, and
-    "inequivalent" means either a fingerprint mismatch or a completed
-    exhaustive search.  A spent node budget yields "unknown".
+    "inequivalent" means differing zero cell counts, a fingerprint mismatch
+    or a completed exhaustive search.  A spent node budget yields "unknown".
     """
     if a.n != b.n:
         raise ValueError("dimension mismatch")
@@ -682,15 +706,16 @@ def specialize_and_classify(
     and the fingerprint; if Hadamard, it is bucketed by fingerprint and
     searched against each class representative in its bucket, whose search
     side is built once.  A search may spend ``budget`` nodes; a point that no
-    search placed and at least one left undecided opens a fresh class flagged
-    ``undecided``, which may be equivalent to an earlier class.  Only points
-    of classes not so flagged record their form.
+    search placed and at least one left undecided joins a class flagged
+    ``undecided`` whose form (recorded apart) certifies it, or else opens a
+    fresh class so flagged, which may be equivalent to an earlier class.
     """
     result = check_inverse_orthogonal(matrix)
     if not result:
         raise ValueError(f"matrix is not inverse orthogonal: {result.describe()}")
     found: list[tuple[EquivalenceClass, Fingerprint, dict[int, _Target]]] = []
     forms: dict[tuple, tuple[EquivalenceClass, ButsonMatrix, tuple]] = {}
+    loose: dict[tuple, tuple[EquivalenceClass, ButsonMatrix, tuple]] = {}  # forms of undecided classes
     for asg in assignments:
         M = eval_exact(matrix, asg, order)
         form = _sorted_form(M)
@@ -712,9 +737,12 @@ def specialize_and_classify(
             if verdict.status == "unknown":
                 hit_budget = True
         else:
-            cls = EquivalenceClass(M, undecided=hit_budget)
-            found.append((cls, fp, {}))
+            seen = loose.get(form[0]) if hit_budget else None
+            if seen is not None and _certify(seen[1], seen[2], M, form) is not None:
+                cls = seen[0]
+            else:
+                cls = EquivalenceClass(M, undecided=hit_budget)
+                found.append((cls, fp, {}))
         cls.assignments.append(dict(asg))
-        if not cls.undecided:
-            forms.setdefault(form[0], (cls, M, form))
+        (loose if cls.undecided else forms).setdefault(form[0], (cls, M, form))
     return [cls for cls, _, _ in found]

@@ -234,6 +234,9 @@ def test_specialize_exits_3_when_the_budget_leaves_classes_undecided(capsys):
     code, out, _ = run(capsys, "specialize", "O12h", "--budget", "1")
     assert code == 3
     assert out.startswith("O12h: 128 Hadamard specializations") and "(undecided bucket)" in out
+    # a point the budget leaves unplaced joins the undecided bucket whose
+    # sorted form certifies it, instead of opening one of its own
+    assert out.count("32 members (undecided bucket)") == out.count("(undecided bucket)") == 3
     code, out, _ = run(capsys, "specialize", "O12a")
     assert code == 0 and "undecided" not in out
 

@@ -44,6 +44,28 @@ def paley_core(q):
     return bordered_circulant([None] + [ONE if k in squares else -ONE for k in range(1, q)])
 
 
+def sylvester(k):
+    """The Sylvester Hadamard matrix of order 2^k, in logs base -1."""
+    n = 1 << k
+    return ButsonMatrix(2, [[bin(i & j).count("1") % 2 for j in range(n)] for i in range(n)])
+
+
+def paley_i(q):
+    """The Paley I Hadamard matrix I + S of order q + 1 (q = 3 mod 4), with S
+    the skew core [[0, 1], [-1, Q]] and Q[i][j] the quadratic character of
+    j - i mod q; in logs base -1."""
+    squares = {k * k % q for k in range(1, q)}
+
+    def cell(i, j):
+        if i == j or i == 0:
+            return 0
+        if j == 0:
+            return 1
+        return 0 if (j - i) % q in squares else 1
+
+    return ButsonMatrix(2, [[cell(i, j) for j in range(q + 1)] for i in range(q + 1)])
+
+
 def o12d_twin_points():
     """Two inequivalent order-4 points of O12d with equal fingerprints."""
     M = catalog.build_verified("O12d")
@@ -288,13 +310,17 @@ class TestDoubledPaley:
 
     def test_order_36_images_match_rarest_rows_first(self):
         # matched in index order, B's rows branch over every A row of the
-        # same profile: each of these images then took over 16,000 nodes
+        # same profile: each of these images then took over 16,000 nodes.
+        # Rarest rows first, they took 3,961, 4,017 and 4,115 nodes while
+        # anchor (0, 0), which holds no witness, was searched to exhaustion;
+        # its row-triple profile now rejects it, and they take 1,648, 1,704
+        # and 1,802
         H = to_butson(double_orthogonal(paley_core(17)))
         assert (H.n, H.m) == (36, 2) and check_hadamard(H)
         rng = random.Random(3611)
         for _ in range(3):
             image = random_transform(H.n, H.m, rng).apply(H)
-            verdict = are_equivalent(H, image, budget=6000)
+            verdict = are_equivalent(H, image, budget=2000)
             assert verdict.equivalent and verdict.witness.maps(H, image)
 
     def test_searches_leave_no_cyclic_garbage(self):
@@ -342,6 +368,17 @@ class TestSearchVerdict:
             assert verdict.status == are_equivalent(a, b).status
         assert reasons == {"witness found", "exhausted search"}
         assert fingerprint(butson("H12a")) != fingerprint(butson("H12d"))  # a pair above
+
+    def test_sylvester_and_paley_32_part_at_every_anchor(self):
+        # equal fingerprints; every anchor of Sylvester 32 passes the row and
+        # column shape tests and fails the row-triple profile of Paley I 32,
+        # so the search exhausts without a node (984,064 nodes without it)
+        from confhad.equivalence import _search_verdict
+
+        S, P = sylvester(5), paley_i(31)
+        assert check_hadamard(S) and check_hadamard(P) and fingerprint(S) == fingerprint(P)
+        verdict = _search_verdict(S, P, 10**4, {})
+        assert (verdict.status, verdict.reason, verdict.nodes) == ("inequivalent", "exhausted search", 0)
 
     def test_spent_budget_is_unknown(self):
         from confhad.equivalence import _search_verdict

@@ -14,11 +14,16 @@ whole corpus ``_search`` may cost no more nodes than the index-order search.
 
 ``_search`` matches B's rows rarest profile first.  ``rarest_first_order``
 writes that order from its rule, and ``refined_search`` (frozenset cells,
-the same two prunes) follows a given order: on every pair it must take
-exactly ``_search``'s nodes to the same witness, and on catalog and Paley
-targets the order ``_search`` builds must be the reference's.  The anchor
-screen is also checked alone: the anchors whose turned row histograms and
-then dephased columns match B's must be exactly those ``same_shape`` keeps.
+the same two prunes, anchors screened by ``same_shape`` and, on +-1
+targets, ``triple_profile``) follows a given order: on every pair it must
+take exactly ``_search``'s nodes to the same witness, and on catalog and
+Paley targets the order ``_search`` builds must be the reference's.  The
+anchor screen is also checked alone: the anchors whose turned row
+histograms, then dephased columns, then row-triple profiles match B's must
+be exactly those the reference keeps.  The triple test is checked for
+soundness too: every anchor it rejects exhausts when searched without it,
+and with it the search reaches the same status and witness in no more
+nodes than without.
 
 At the leaf, ``sweep_witness`` (the former ``_witness_from_maps``, which
 swept every cell until no diagonal entry changed) and ``old_maps`` (apply
@@ -29,7 +34,7 @@ walk must return the same transform, or None where the sweep does, and
 
 import random
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import lcm
 
 import pytest
@@ -37,6 +42,7 @@ import pytest
 from confhad import catalog
 from confhad.equivalence import (
     MonomialTransform,
+    _Anchor,
     _bits,
     _Budget,
     _col_shape,
@@ -46,9 +52,10 @@ from confhad.equivalence import (
     _row_signature,
     _search,
     _Target,
+    _triples,
     _witness_from_maps,
 )
-from confhad.matrices import ButsonMatrix, bordered_circulant, double_orthogonal, to_butson
+from confhad.matrices import ButsonMatrix, SymbolicMatrix, bordered_circulant, double_orthogonal, to_butson
 from confhad.search import bordered_matrix, search_bordered_circulant
 from confhad.symbolic import Monomial
 from confhad.verify import _diff_hist
@@ -350,6 +357,24 @@ def shape_filtered_search(A, B, budget):
     return parent_search(A, B, budget, same_shape)
 
 
+def is_plus_minus_one(lb, m):
+    """Whether every value of the dephased matrix ``lb`` stands for 1 or -1
+    (log 0 or m/2), so none is a zero's sentinel."""
+    return all(x == 0 or 2 * x == m for row in lb for x in row)
+
+
+def triple_profile(G):
+    """For a dephased matrix of logs 0 (+1) and m/2 (-1): the multiset, over
+    unordered triples of rows, of the column sum of the three rows' product."""
+    signs = [[1 if x == 0 else -1 for x in row] for row in G]
+    return Counter(sum(a * b * c for a, b, c in zip(*rows)) for rows in combinations(signs, 3))
+
+
+def target_profile(lb, m):
+    """``triple_profile`` of B's dephased matrix when it is +-1, else None."""
+    return triple_profile(lb) if is_plus_minus_one(lb, m) else None
+
+
 def rarest_first_order(B):
     """B's rows in the order the search matches them, from the rule alone.
 
@@ -378,8 +403,9 @@ def rarest_first_order(B):
 
 
 def refined_search(A, B, budget, order):
-    """The shape-filtered search with columns held as cells, B's rows matched
-    in ``order`` (row 0 first), and two prunes:
+    """The shape-filtered search, anchors also screened by their
+    ``triple_profile`` when B's dephased matrix is +-1, with columns held as
+    cells, B's rows matched in ``order`` (row 0 first), and two prunes:
     (a) every cell splits by value into parts of equal size on both sides;
     (b) while a cell holds two or more columns, the unmapped B rows and the
     unused A rows have equal multisets of profiles (value counts per such
@@ -389,6 +415,7 @@ def refined_search(A, B, budget, order):
     la, b_row0 = A.logs, B.logs[0]
     b0 = next((j for j, x in enumerate(b_row0) if x is not None), 0)
     lb = parent_dephased(B, 0, b0)
+    profile = target_profile(lb, B.m)
     all_cols = frozenset(range(n))
 
     def counts(row, cols):
@@ -400,6 +427,8 @@ def refined_search(A, B, budget, order):
                 continue
             G = parent_dephased(A, r, c)
             if not same_shape(G, lb):
+                continue
+            if profile is not None and triple_profile(G) != profile:
                 continue
             used = {r}
             sigma = [r] + [-1] * (n - 1)
@@ -702,6 +731,38 @@ def paley_core(q, double=False):
     return to_butson(double_orthogonal(core) if double else core)
 
 
+def gf9_paley_double():
+    """The double of the Paley conference matrix of order 10, a +-1
+    Hadamard matrix of order 20.  The core is indexed by GF(9) = F_3[i]/(i^2
+    + 1) (pairs (a, b) for a + bi) and holds chi(y - x), chi the quadratic
+    character."""
+    field = [(a, b) for a in range(3) for b in range(3)]
+    squares = {((a * a - b * b) % 3, 2 * a * b % 3) for a, b in field if (a, b) != (0, 0)}
+
+    def cell(x, y):
+        d = ((y[0] - x[0]) % 3, (y[1] - x[1]) % 3)
+        return None if d == (0, 0) else Monomial(0 if d in squares else 2)
+
+    rows = [[None] + [Monomial(0)] * 9]
+    rows += [[Monomial(0)] + [cell(x, y) for y in field] for x in field]
+    return to_butson(double_orthogonal(SymbolicMatrix(rows)))
+
+
+def sylvester(k):
+    """The Sylvester Hadamard matrix of order 2^k: cell (i, j) is
+    (-1)^popcount(i & j)."""
+    n = 1 << k
+    return ButsonMatrix(2, [[bin(i & j).count("1") % 2 for j in range(n)] for i in range(n)])
+
+
+def sign_image(M, rng):
+    """A seeded image of the +-1 matrix M by permutations and sign changes."""
+    n = M.n
+    perms = [tuple(rng.sample(range(n), n)) for _ in range(2)]
+    signs = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(2)]
+    return MonomialTransform(2, *perms, *signs).apply(M)
+
+
 def random_matrix(n, m, zeros, rng):
     """Random logs, with zeros in a random permutation pattern if asked."""
     perm = rng.sample(range(n), n)
@@ -840,10 +901,11 @@ def test_match_order_is_the_reference_order():
 def screened_anchors(A, B):
     """The anchors of A that ``_search`` dephases and searches below: row
     shapes by turned histograms first, then column shapes of the dephased
-    matrix.  Also counts the anchors only the column test rejects."""
+    matrix, then its row-triple profile if B's has one.  Also counts the
+    anchors only the column test rejects and those only the profile does."""
     target = _Target(B)
     anchor_zero = B.logs[0][target.b0] is None
-    kept, by_columns = [], 0
+    kept, by_columns, by_triples = [], 0, 0
     for r in range(A.n):
         hists = [_diff_hist(row, A.logs[r], A.m) for row in A.logs]
         turned = {}
@@ -852,32 +914,43 @@ def screened_anchors(A, B):
                 continue
             if sorted(_row_shapes(A, r, c, hists, turned)) != target.row_shape:
                 continue
-            if _col_shape(_dephased(A, r, c)) != target.col_shape:
+            G = _dephased(A, r, c)
+            if _col_shape(G) != target.col_shape:
                 by_columns += 1
                 continue
+            if target.triples is not None and _triples(G, A.m // 2) != target.triples:
+                by_triples += 1
+                continue
             kept.append((r, c))
-    return kept, by_columns
+    return kept, by_columns, by_triples
 
 
 def oracle_anchors(A, B):
-    """The anchors whose dephased matrix has B's shape by ``same_shape``."""
+    """The anchors whose dephased matrix has B's shape by ``same_shape`` and,
+    when B's dephased matrix is +-1, B's ``triple_profile``."""
     b0 = next((j for j, x in enumerate(B.logs[0]) if x is not None), 0)
     lb = parent_dephased(B, 0, b0)
+    profile = target_profile(lb, B.m)
+
+    def keep(G):
+        return same_shape(G, lb) and (profile is None or triple_profile(G) == profile)
+
     return [
         (r, c)
         for r in range(A.n)
         for c in range(A.n)
-        if (A.logs[r][c] is None) == (B.logs[0][b0] is None) and same_shape(parent_dephased(A, r, c), lb)
+        if (A.logs[r][c] is None) == (B.logs[0][b0] is None) and keep(parent_dephased(A, r, c))
     ]
 
 
 def assert_screen_agrees(a, b):
-    """Returns (anchors kept, anchors rejected by columns only, anchors)."""
+    """Returns (anchors kept, anchors rejected by columns only, anchors
+    rejected by the triple profile only, anchors)."""
     m = lcm(a.m, b.m)
     A, B = a.lift(m), b.lift(m)
-    kept, by_columns = screened_anchors(A, B)
+    kept, by_columns, by_triples = screened_anchors(A, B)
     assert kept == oracle_anchors(A, B)
-    return len(kept), by_columns, A.n * A.n
+    return len(kept), by_columns, by_triples, A.n * A.n
 
 
 def test_anchor_screen_keeps_the_oracles_anchors():
@@ -888,12 +961,100 @@ def test_anchor_screen_keeps_the_oracles_anchors():
     for q in (5, 13):
         C = paley_core(q)
         pairs += [(C, row_swapped(C, rng)), (row_swapped(C, rng), C), (C, image(C, rng))]
+    H = paley_core(5, double=True)
+    pairs += [(H, image(H, rng)), (sylvester(3), image(sylvester(3), rng))] + random_sign_pairs()
     for _ in range(150):
         n, m, zeros = rng.randint(1, 6), rng.randint(1, 4), rng.random() < 0.7
         A = random_matrix(n, m, zeros, rng)
         pairs += [(A, image(A, rng)), (A, random_matrix(n, m, zeros, rng))]
-    kept, by_columns, anchors = map(sum, zip(*(assert_screen_agrees(a, b) for a, b in pairs)))
-    assert 0 < kept < anchors and by_columns > 0  # both tests reject somewhere
+    kept, by_columns, by_triples, anchors = map(sum, zip(*(assert_screen_agrees(a, b) for a, b in pairs)))
+    assert 0 < kept < anchors and by_columns > 0 and by_triples > 0  # every test rejects somewhere
+
+
+# The row-triple profile test: sound, and equal to its definition.
+
+
+def random_sign_pairs():
+    """Seeded +-1 matrices against sign images and unrelated +-1 matrices."""
+    rng = random.Random(4407)
+    pairs = []
+    for _ in range(40):
+        A = random_matrix(rng.randint(4, 8), 2, False, rng)
+        pairs += [(A, sign_image(A, rng)), (A, random_matrix(A.n, 2, False, rng))]
+    return pairs
+
+
+def plus_minus_one_pairs():
+    """+-1 Hadamard targets against sign images and (for H12) the other real
+    catalog entries, then ``random_sign_pairs``."""
+    rng = random.Random(4411)
+    hadamard = [butson("H12" + x) for x in "abc"]
+    hadamard += [paley_core(5, double=True), gf9_paley_double(), paley_core(13, double=True)]
+    hadamard += [sylvester(3), sylvester(4)]
+    pairs = [(a, b) for a, b in combinations_with_replacement(hadamard[:3], 2)]
+    pairs += [(M, sign_image(M, rng)) for M in hadamard]
+    return pairs + random_sign_pairs()
+
+
+def profile_rejected_anchors(A, target):
+    """The anchors of A that pass the row and column shape tests but not the
+    triple profile, each with its dephased matrix and row shapes."""
+    for r in range(A.n):
+        hists = [_diff_hist(row, A.logs[r], A.m) for row in A.logs]
+        turned = {}
+        for c in range(A.n):
+            sigs = _row_shapes(A, r, c, hists, turned)
+            if sorted(sigs) != target.row_shape:
+                continue
+            G = _dephased(A, r, c)
+            if _col_shape(G) == target.col_shape and _triples(G, A.m // 2) != target.triples:
+                yield r, c, G, sigs
+
+
+def test_rejected_anchors_hold_no_witness():
+    rejected = hadamard_rejected = 0
+    for A, B in plus_minus_one_pairs():
+        target = _Target(B)
+        assert target.triples is not None
+        full = (1 << A.n) - 1
+        for r, c, G, sigs in profile_rejected_anchors(A, target):
+            # the anchor searched alone, without the profile test
+            below = _Anchor(A, target, _Budget(BUDGET), G, r, sigs)
+            assert below.extend(1, [1 << c, full ^ (1 << c)]) is None
+            rejected += 1
+            hadamard_rejected += A.n in (20, 28)
+    assert rejected > 0 and hadamard_rejected > 0
+
+
+def test_triples_is_the_profile_and_ignores_permutations():
+    rng = random.Random(4421)
+    for A, _ in plus_minus_one_pairs():
+        n = A.n
+        for r, c in {(rng.randrange(n), rng.randrange(n)) for _ in range(3)}:
+            G = parent_dephased(A, r, c)
+            got = _triples(G, 1)
+            assert Counter({n - 2 * k: count for k, count in got.items()}) == triple_profile(G)
+            rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+            assert _triples([[G[u][v] for v in cols] for u in rows], 1) == got
+
+
+def screen_off_search(A, B, budget):
+    target = _Target(B)
+    target.triples = None
+    return _search(A, target, budget)
+
+
+def test_profile_test_keeps_status_and_witness_and_saves_nodes():
+    H = paley_core(13, double=True)
+    pairs = [lifted(a, b) for make in CORPUS for a, b in make()]
+    pairs.append(lifted(H, image(H, random.Random(3601))))
+    saved = 0
+    for A, B in pairs:
+        on, off = run(current_search, A, B), run(screen_off_search, A, B)
+        assert (on[0], witness_key(on[1])) == (off[0], witness_key(off[1]))
+        assert on[2] <= off[2]
+        saved += on[2] < off[2]
+    assert saved > 0
 
 
 # The leaf: ``_witness_from_maps`` and ``MonomialTransform.maps`` against the
