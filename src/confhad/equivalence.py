@@ -43,7 +43,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .matrices import ButsonMatrix, SymbolicMatrix, eval_exact
-from .verify import _check_hadamard_butson, _diff_hist, _pair_hists, check_inverse_orthogonal
+from .verify import _check_hadamard_butson, _pair_hists, check_inverse_orthogonal
 
 DEFAULT_BUDGET = 10**8
 
@@ -77,21 +77,21 @@ def _quadruple_counts(
     """Quadruple-value counts and the number of skipped (zero-touching) quadruples.
 
     For rows i, k the value at columns j, l is d[j] - d[l] with d = row_i - row_k,
-    so the counts of a row pair are the cyclic autocorrelation of the histogram
+    so the counts of a row pair are the cyclic autocorrelation of the count vector
     of d over the s columns where both rows are nonzero, less the s terms j = l.
     The pair (k, i) negates d, which leaves that autocorrelation unchanged,
-    and pairs with equal histograms share one autocorrelation, weighted by
+    and pairs with equal vectors share one autocorrelation, weighted by
     their number: ``pairs`` is the ``Counter`` of M's ``_pair_hists``.
     """
     n, m = M.n, M.m
     counts: Counter[int] = Counter()
     skipped = 0
     for hist, w in pairs.items():
-        s = len(hist)
+        s = sum(hist)
         if s < n and not skip_zeros:
             raise ValueError("zero cell in Hadamard fingerprint")
         skipped += 2 * w * (n * (n - 1) - s * (s - 1))
-        items = Counter(hist).items()
+        items = [(a, c) for a, c in enumerate(hist) if c]
         for a, ca in items:
             for b, cb in items:
                 counts[(a - b) % m] += 2 * w * ca * cb
@@ -288,6 +288,14 @@ def _dephased(M: ButsonMatrix, r: int, c: int) -> list[list[int]]:
         else:
             out.append([(a + shift - b) % m for a, b in zip(row, head)])
     return out
+
+
+def _diff_hist(row, head, m: int) -> tuple[int, ...]:
+    """The histogram of (a - b) % m over the cells where both ``row`` and
+    ``head`` are nonzero, as the sorted tuple of those values.  It keeps n
+    values, not a vector of m counts, because the search runs at the lcm of
+    two root orders, which two legal BH files can push past 10^6."""
+    return tuple(sorted([(a - b) % m for a, b in zip(row, head) if a is not None and b is not None]))
 
 
 def _row_shapes(

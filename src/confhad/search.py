@@ -2,7 +2,7 @@
 
 Candidates are first rows over m-th roots of unity (log form, ``None`` for the
 fixed leading zero).  Three exact steps cut the enumeration; 2 and 3 test
-root sums with ``verify._vanishes`` on ``_diff_hist`` histograms:
+root sums with ``verify._vanishes`` on count vectors over the m-th roots:
 
 1. global scaling is a symmetry: c1 = 0 is fixed, and each surviving row is
    expanded back to its m scalings;
@@ -23,7 +23,7 @@ from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .matrices import ButsonMatrix, _bordered_grid, _circulant_grid
-from .verify import _diff_hist, _vanishes, check_conference
+from .verify import _vanishes, check_conference
 
 CoreRow = tuple[Optional[int], ...]
 
@@ -36,17 +36,22 @@ MAX_CANDIDATES = 10**6
 def _shift_filter(k: int, m: int, bordered: bool) -> Callable[[CoreRow], bool]:
     """The exact test, filters 2 and 3, of a length-k row (None first): True
     exactly when the (bordered) circulant of the row is conference.  Verdicts
-    are memoised per histogram for the life of the returned test."""
+    are memoised per count vector for the life of the returned test."""
     verdicts: dict[tuple[int, ...], bool] = {}
     border = (0,) if bordered else ()
     zeros = (0,) * k
 
+    def counts(row: CoreRow, head: CoreRow) -> tuple[int, ...]:
+        # k * m steps, so a search takes at most about k^2 * MAX_CANDIDATES of them
+        diffs = [(a - b) % m for a, b in zip(row, head) if a is not None and b is not None]
+        return tuple(map(diffs.count, range(m)))
+
     def passes(row: CoreRow) -> bool:
-        if bordered and not _vanishes(_diff_hist(row, zeros, m), m, verdicts):
+        if bordered and not _vanishes(counts(row, zeros), m, verdicts):
             return False
         first = border + row
         return all(
-            _vanishes(_diff_hist(first, border + row[s:] + row[:s], m), m, verdicts)
+            _vanishes(counts(first, border + row[s:] + row[:s]), m, verdicts)
             for s in range(1, k // 2 + 1)
         )
 

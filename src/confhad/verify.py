@@ -8,7 +8,8 @@ fewer than B values, so the difference of two codes names the quotient's
 i-power and parameter part uniquely.  The sum of a row pair vanishes for all
 values of the free parameters exactly when each parameter part's 4th-root
 counts cancel, c0 = c2 and c1 = c3; on the codes that is a multiset compare
-in integer arithmetic.  The Butson kernel tests sums over m-th roots exactly,
+in integer arithmetic.  The Butson kernel counts a row pair's differences by
+popcounts of per-row value bitmasks and tests their sum over m-th roots exactly,
 modulo the cyclotomic polynomial.  Floating checks are smoke tests only; a
 symbolic failure is authoritative even if sampled floats look fine.
 """
@@ -127,40 +128,44 @@ def _gram_symbolic(rows) -> VerificationResult:
     return _ok()
 
 
-def _diff_hist(row, head, m: int) -> tuple[int, ...]:
-    """The histogram of (a - b) % m over the cells where both ``row`` and
-    ``head`` are nonzero, as the sorted tuple of those values: its size is
-    that of a row, not m, which in the equivalence search is the lcm of two
-    root orders."""
-    return tuple(sorted([(a - b) % m for a, b in zip(row, head) if a is not None and b is not None]))
-
-
-def _hist_counts(hist: tuple[int, ...], m: int) -> list[int]:
-    """A ``_diff_hist`` histogram as its count vector over the m-th roots."""
-    counts = [0] * m
-    for k in hist:
-        counts[k] += 1
-    return counts
-
-
-def _vanishes(hist: tuple[int, ...], m: int, verdicts: dict[tuple[int, ...], bool]) -> bool:
-    """Whether the m-th roots counted by ``hist`` sum to zero, memoised in ``verdicts``."""
-    ok = verdicts.get(hist)
+def _vanishes(counts: tuple[int, ...], m: int, verdicts: dict[tuple[int, ...], bool]) -> bool:
+    """Whether the m-th roots counted by ``counts`` sum to zero, memoised in ``verdicts``."""
+    ok = verdicts.get(counts)
     if ok is None:
-        ok = verdicts[hist] = root_sum_is_zero(_hist_counts(hist, m), m)
+        ok = verdicts[counts] = root_sum_is_zero(counts, m)
     return ok
 
 
 def _pair_hists(logs, m: int) -> Iterator[tuple[int, ...]]:
-    """``_diff_hist`` of every row pair i < j, in that order.  Its
-    ``Counter`` is the multiset that both the Butson Gram kernel and the
-    fingerprint's autocorrelation read, so a caller that needs both builds
-    that once."""
-    n = len(logs)
+    """For every row pair i < j, in that order, the counts of (a - b) % m
+    over the columns where both rows are nonzero, as a tuple of m ints.
+
+    Each row is built once as one column bitmask per value it holds, and a
+    pair costs one popcount per pair of values the two rows hold, or one
+    step per column where that is fewer.  Its ``Counter`` is the multiset
+    that both the Butson Gram kernel and the fingerprint's autocorrelation
+    read, so a caller that needs both builds that once."""
+    masks = []
+    for row in logs:
+        by_value: dict[int, int] = {}
+        for x, a in enumerate(row):
+            if a is not None:
+                by_value[a] = by_value.get(a, 0) | 1 << x
+        masks.append(list(by_value.items()))
+    n = len(masks)
     for i in range(n):
-        row_i = logs[i]
+        row_i = masks[i]
         for j in range(i + 1, n):
-            yield _diff_hist(row_i, logs[j], m)
+            counts = [0] * m
+            if len(row_i) * len(masks[j]) <= n:
+                for b, mask_b in masks[j]:
+                    for a, mask_a in row_i:
+                        counts[(a - b) % m] += (mask_a & mask_b).bit_count()
+            else:
+                for a, b in zip(logs[i], logs[j]):
+                    if a is not None and b is not None:
+                        counts[(a - b) % m] += 1
+            yield tuple(counts)
 
 
 def _gram_butson(logs, m: int, hists: Iterable[tuple[int, ...]]) -> VerificationResult:
@@ -168,10 +173,10 @@ def _gram_butson(logs, m: int, hists: Iterable[tuple[int, ...]]) -> Verification
     skipping columns where either cell is zero.
 
     ``hists`` is ``_pair_hists(logs, m)``, lazily, or its ``Counter``, whose
-    keys come in the order of their first pair.  Pairs with equal histograms
-    share one exact test, and every pair with a failing histogram fails, so
-    either way the first failing histogram is the first failing pair's,
-    which the witness finds again.
+    keys come in the order of their first pair.  Pairs with equal count
+    vectors share one exact test, and every pair with a failing vector
+    fails, so either way the first failing vector is the first failing
+    pair's, which the witness finds again and prints.
     """
     verdicts: dict[tuple[int, ...], bool] = {}
     for hist in hists:
@@ -180,7 +185,7 @@ def _gram_butson(logs, m: int, hists: Iterable[tuple[int, ...]]) -> Verification
             pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
             i, j = next(pair for pair, h in zip(pairs, _pair_hists(logs, m)) if h == hist)
             # the witness shows at most 16 root counts, then how many more
-            counts = _hist_counts(hist, m)
+            counts = list(hist)
             detail = counts if m <= 16 else f"{counts[:16]} (+{m - 16} more)"
             return _fail(i, j, detail, "off-diagonal root sum != 0")
     return _ok()

@@ -155,6 +155,16 @@ def test_equiv_tiny_conference_files(capsys, tmp_path):
         assert code == 0 and out.startswith("equivalent (witness found;")
 
 
+def test_equiv_coprime_order_files(capsys, tmp_path):
+    # all-ones BH 12 files of orders 1021 and 1019: the search runs at their lcm
+    files = []
+    for m in (1021, 1019):
+        files.append(tmp_path / f"ones{m}.bh")
+        files[-1].write_text(f"BH 12 {m}\n" + (" ".join(["0"] * 12) + "\n") * 12)
+    code, out, _ = run(capsys, "equiv", str(files[0]), str(files[1]))
+    assert code == 0 and out.startswith("equivalent (witness found;")
+
+
 def test_equiv_doubled_paley_image_files(capsys, tmp_path):
     # a +-1 Hadamard matrix of order 28 (the doubled Paley core of order 14)
     # against a signed, permuted copy, decided within 10^5 nodes

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -273,6 +274,20 @@ class TestAreEquivalent:
         real = butson("H12a")
         lifted = real.lift(4)
         assert are_equivalent(real, lifted).equivalent
+
+    def test_coprime_orders_search_in_bounded_memory(self):
+        # the search runs at lcm(1021, 1019) = 1,040,399: row shapes hold
+        # n sorted values each, never a vector of that many counts
+        a = ButsonMatrix(1021, [[0] * 12] * 12)
+        b = ButsonMatrix(1019, [[0] * 12] * 12)
+        tracemalloc.start()
+        try:
+            verdict = are_equivalent(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.status == "equivalent" and verdict.witness.maps(a, b)
+        assert peak < 2**20
 
     def test_completeness_small_order(self):
         rng = random.Random(13)

@@ -17,7 +17,7 @@ from collections import Counter
 import pytest
 
 from confhad import catalog
-from confhad.equivalence import MonomialTransform, _fingerprint, _quadruple_counts, fingerprint
+from confhad.equivalence import MonomialTransform, _diff_hist, _fingerprint, _quadruple_counts, fingerprint
 from confhad.matrices import (
     ButsonMatrix,
     bordered_circulant,
@@ -26,7 +26,7 @@ from confhad.matrices import (
     to_butson,
 )
 from confhad.symbolic import Monomial
-from confhad.verify import _check_hadamard_butson, _diff_hist, _pair_hists, check_hadamard
+from confhad.verify import _check_hadamard_butson, _pair_hists, check_hadamard
 
 
 def old_quadruple_counts(M, skip_zeros):

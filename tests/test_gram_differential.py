@@ -246,6 +246,67 @@ def test_butson_kernel_matches_old_loop():
         assert hadamard[:2] == (4, 6)
 
 
+def oracle_pair_hists(logs, m):
+    """For each row pair i < j, the counts of (a - b) % m over the columns
+    where both cells are nonzero."""
+    n = len(logs)
+    diffs = [
+        [(a - b) % m for a, b in zip(logs[i], logs[j]) if a is not None and b is not None]
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    return [tuple(d.count(k) for k in range(m)) for d in diffs]
+
+
+def assert_pair_hists_agree(M):
+    want = oracle_pair_hists(M.logs, M.m)
+    assert list(_pair_hists(M.logs, M.m)) == want
+    # the Gram witness names the first failing pair: keys in first-pair order
+    shared = Counter(_pair_hists(M.logs, M.m))
+    assert list(shared) == list(dict.fromkeys(want)) and shared == Counter(want)
+
+
+def gf9_paley_core():
+    """The symmetric conference matrix of order 10 over GF(9) = Z_3[i],
+    i^2 = -1: border ones, cell (x, y) the quadratic character of x - y."""
+    field = [(a, b) for a in range(3) for b in range(3)]
+    squares = {((a * a - b * b) % 3, 2 * a * b % 3) for a, b in field if (a, b) != (0, 0)}
+    cell = {d: Monomial(0 if d in squares else 2) for d in field}
+    rows = [[None] + [Monomial(0)] * 9]
+    for x in field:
+        diffs = [((x[0] - y[0]) % 3, (x[1] - y[1]) % 3) for y in field]
+        rows.append([Monomial(0)] + [None if d == (0, 0) else cell[d] for d in diffs])
+    return SymbolicMatrix(rows)
+
+
+def test_pair_hists_match_oracle_on_catalog_and_paley_doubles():
+    for matrix in catalog_matrices():
+        if matrix.is_constant:
+            assert_pair_hists_agree(to_butson(matrix))
+    doubles = [double_orthogonal(symbolic_paley_core(q)) for q in (5, 13)]
+    doubles.append(double_orthogonal(gf9_paley_core()))
+    for double in doubles:
+        B = to_butson(double)
+        assert check_hadamard(B)
+        assert_pair_hists_agree(B)
+    assert sorted(double.n for double in doubles) == [12, 20, 28]
+
+
+def test_pair_hists_match_oracle_on_random_matrices():
+    rng = random.Random(2110)
+    for m in (1, 2, 3, 4, 6, 12, 1021):
+        for n in (1, 2, 5, 9):
+            perm = rng.sample(range(n), n)
+            for zeros in ("none", "permutation", "arbitrary"):
+                logs = [[rng.randrange(m) for _ in range(n)] for _ in range(n)]
+                for i in range(n):
+                    if zeros == "permutation":
+                        logs[i][perm[i]] = None
+                    elif zeros == "arbitrary":
+                        logs[i] = [None if rng.random() < 0.3 else a for a in logs[i]]
+                assert_pair_hists_agree(ButsonMatrix(m, logs))
+
+
 def test_butson_kernel_matches_old_loop_on_search_candidates():
     seen = set()
     for n, m in ((6, 4), (5, 3)):

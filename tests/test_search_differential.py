@@ -47,6 +47,7 @@ from confhad.equivalence import (
     _Budget,
     _col_shape,
     _dephased,
+    _diff_hist,
     _OutOfBudget,
     _row_shapes,
     _row_signature,
@@ -58,7 +59,6 @@ from confhad.equivalence import (
 from confhad.matrices import ButsonMatrix, SymbolicMatrix, bordered_circulant, double_orthogonal, to_butson
 from confhad.search import bordered_matrix, search_bordered_circulant
 from confhad.symbolic import Monomial
-from confhad.verify import _diff_hist
 
 BUDGET = 10**6
 
