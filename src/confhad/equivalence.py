@@ -8,12 +8,16 @@ witness or exhausts the space.  Diagonals range over the matrices' own root
 order, so "inequivalent by exhausted search" is relative to that notion.
 
 One search serves Hadamard and conference inputs.  It dephases B about one
-cell and A about every cell in turn, which removes the diagonals, and skips
-every anchor (no witness passes through it) where one of three quantities
-that row and column permutations keep differs from B's: the sorted rows, from
-the histograms of row differences that the fingerprint and the Butson Gram
-check also count; the sorted columns of the dephased matrix; and, on a +-1
-target, the row-triple profile ``_triples``.  Then it matches rows.  The
+cell and A about every cell in turn, which removes the diagonals.  Each row
+has a key, the sorted nonzero counts of its pair vectors (``_pair_counts``),
+built in the pass that feeds the fingerprint; a search whose row-key
+multisets differ tries no anchor, and a row of A without the key of B's
+anchor row is never anchored.  The search skips every other anchor (no
+witness passes through it) where one of three quantities that row and
+column permutations keep differs from B's: the sorted rows, from the
+histograms of row differences; the sorted columns of the dephased matrix;
+and, on a +-1 target, the row-triple profile ``_triples``, whose unsigned
+form ends the whole row.  Then it matches rows.  The
 columns a B column may map to are held as cells (a set of B columns with the
 set of A columns they may take), which every matched row splits by value.  Two
 prunes refine rows and columns together, after McKay-Piperno ("Practical
@@ -57,13 +61,16 @@ class Fingerprint:
     base zeta_m with m the order of the group the quadruple values generate
     (not the matrix's root order, which diagonal scalings can change).
     ``zeros`` records how many quadruples were skipped for touching a zero
-    cell (conference mode).
+    cell (conference mode).  ``row_keys`` (see ``_pair_counts``) come from
+    the same pass for the search; equality does not compare them, so a pair
+    they part still goes to the search and is decided there.
     """
 
     n: int
     m: int
     counts: tuple[tuple[int, int], ...]
     zeros: int = 0
+    row_keys: tuple = field(default=(), compare=False, repr=False)
 
     def lines(self) -> list[str]:
         out = [f"n={self.n} order={self.m} skipped={self.zeros}"]
@@ -99,20 +106,50 @@ def _quadruple_counts(
     return {v: c for v, c in counts.items() if c}, skipped
 
 
-def _fingerprint(M: ButsonMatrix, pairs: Counter[tuple[int, ...]], skip_zeros: bool) -> Fingerprint:
+def _pair_counts(M: ButsonMatrix) -> tuple[Counter[tuple[int, ...]], tuple[tuple, ...]]:
+    """The ``Counter`` of M's ``_pair_hists`` and every row's key, from one pass.
+
+    The key of row r is the sorted tuple, over rows u != r, of the sorted
+    nonzero counts of the pair (r, u).  A row scaling turns a pair's vector,
+    a lift spreads it over zeros, and column permutations and scalings leave
+    it alone, so none changes the nonzero counts: a monomial map that carries
+    B's row i onto A's row r gives them one key, at any orders, and the
+    multiset of keys is an invariant.  Only the distinct vectors are held,
+    each pair as the index of its vector; when all pairs share one key, as
+    in every +-1 Hadamard matrix, the n equal keys need no pass over pairs.
+    """
+    n = M.n
+    first: dict[tuple[int, ...], int] = {}
+    ids = [first.setdefault(hist, len(first)) for hist in _pair_hists(M.logs, M.m)]
+    weights = Counter(ids)
+    pairs = Counter({hist: weights[k] for hist, k in first.items()})
+    pair_keys = [tuple(sorted(filter(None, hist))) for hist in first]
+    if len(set(pair_keys)) <= 1:
+        return pairs, (tuple(pair_keys[:1] * (n - 1)),) * n
+    rows: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    ends = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), k in zip(ends, ids):
+        rows[i].append(pair_keys[k])
+        rows[j].append(pair_keys[k])
+    return pairs, tuple(tuple(sorted(row)) for row in rows)
+
+
+def _fingerprint(
+    M: ButsonMatrix, pairs: Counter[tuple[int, ...]], row_keys: tuple, skip_zeros: bool
+) -> Fingerprint:
     counts, skipped = _quadruple_counts(M, pairs, skip_zeros)
     g = gcd(M.m, *counts)  # zeta_m^g generates the quadruple values
-    return Fingerprint(M.n, M.m // g, tuple(sorted((v // g, c) for v, c in counts.items())), skipped)
+    return Fingerprint(M.n, M.m // g, tuple(sorted((v // g, c) for v, c in counts.items())), skipped, row_keys)
 
 
 def fingerprint(M: ButsonMatrix) -> Fingerprint:
     """Equivalence invariant for zero-free exact matrices."""
-    return _fingerprint(M, Counter(_pair_hists(M.logs, M.m)), skip_zeros=False)
+    return _fingerprint(M, *_pair_counts(M), skip_zeros=False)
 
 
 def conference_fingerprint(M: ButsonMatrix) -> Fingerprint:
     """Fingerprint variant that skips quadruples touching zero cells."""
-    return _fingerprint(M, Counter(_pair_hists(M.logs, M.m)), skip_zeros=True)
+    return _fingerprint(M, *_pair_counts(M), skip_zeros=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,6 +382,17 @@ def _triples(M: list[list[int]], value: int) -> Counter[int]:
     return Counter([(gp ^ gx).bit_count() for gp, x in pairs for gx in masks[x:]])
 
 
+def _unsigned(triples: Counter[int], n: int) -> Counter[int]:
+    """``_triples`` as counts of |n - 2 * popcount|.  Dephasing a +-1 matrix
+    about (r, c) instead of (r, c') multiplies every row u by its sign in
+    column c', which flips the sign of whole triples, so this does not
+    depend on the anchor column."""
+    out: Counter[int] = Counter()
+    for p, k in triples.items():
+        out[abs(n - 2 * p)] += k
+    return out
+
+
 class _Level:
     """B's side of search depth i: ``row``, the B row matched there, and its
     cells, set by the rows of depths 0..i-1.
@@ -368,6 +416,8 @@ class _Target:
     against B: B dephased about (0, b0), and its depths, refined lazily.
     Each depth fixes the B row matched there (row 0 at depth 0, then the
     rarest by shape and profile), so the row order depends on B alone.
+    ``row_keys`` are B's keys from ``_pair_counts``, taken at B's own order
+    (a key does not change under a lift), sorted, and ``key`` is row 0's.
 
     Sets of columns are bitmasks.  A row's profile holds its count of each
     value in each cell, leaving out the last value of ``index`` (the counts
@@ -378,12 +428,14 @@ class _Target:
     """
 
     __slots__ = (
-        "B", "n", "b0", "sigs", "row_shape", "col_shape", "triples", "index", "counted", "width", "masks", "packed", "levels"
+        "B", "n", "row_keys", "key", "b0", "sigs", "row_shape", "col_shape", "triples", "unsigned", "index",
+        "counted", "width", "masks", "packed", "levels",
     )
 
-    def __init__(self, B: ButsonMatrix) -> None:
+    def __init__(self, B: ButsonMatrix, row_keys: Sequence[tuple]) -> None:
         n = B.n
         self.B, self.n = B, n
+        self.row_keys, self.key = sorted(row_keys), row_keys[0]
         self.b0 = b0 = next((j for j, x in enumerate(B.logs[0]) if x is not None), 0)
         lb = _dephased(B, 0, b0)
         self.sigs = _row_shapes(B, 0, b0, [_diff_hist(row, B.logs[0], B.m) for row in B.logs], {})
@@ -391,6 +443,7 @@ class _Target:
         values = {x for row in lb for x in row}
         two_valued = B.m % 2 == 0 and values <= {0, B.m // 2}  # +-1 after dephasing, no zero
         self.triples = _triples(lb, B.m // 2) if two_valued else None
+        self.unsigned = _unsigned(self.triples, n) if two_valued else None
         self.index = {x: k for k, x in enumerate(sorted(values))}
         self.counted = max(1, len(self.index) - 1)
         self.width = (n.bit_length() + 7) // 8
@@ -531,8 +584,15 @@ class _Anchor:
         return None
 
 
-def _search(A: ButsonMatrix, target: _Target, budget: _Budget) -> Optional[MonomialTransform]:
+def _search(
+    A: ButsonMatrix, target: _Target, budget: _Budget, row_keys: Sequence[tuple]
+) -> Optional[MonomialTransform]:
     """Map B's row 0 onto each row r of A and its column b0 onto each column c.
+
+    ``row_keys`` are A's keys from ``_pair_counts``.  A witness carries each
+    row of B onto a row of A with its key, so when the multisets of keys
+    differ no anchor is tried, and a row r of A whose key is not that of B's
+    row 0 is skipped before anything of it is built.
 
     B is dephased about (0, b0) and A about (r, c).  A witness through that
     anchor carries one dephased matrix onto the other by a row and a column
@@ -546,10 +606,15 @@ def _search(A: ButsonMatrix, target: _Target, budget: _Budget) -> Optional[Monom
     test compares ``_triples``, whose triples a row permutation reorders as a
     column permutation does each mask's bits.  A real Hadamard matrix passes
     the first two tests at every anchor, so without it a wrong anchor fails
-    only depths down, after about n^2 nodes.  Skipped anchors hold no witness
-    and the rest run in order, so status and witness never change.  B's rows
-    are then matched in ``target``'s order, each onto A's unused rows with
-    the same values.
+    only depths down, after about n^2 nodes.  When the profiles differ even
+    unsigned (``_unsigned``), which no anchor column changes, the rest of
+    row r is skipped.  Skipped anchors hold no witness and the rest run in
+    order, so status and witness never change.  On zero-free matrices a row
+    the keys skip fails the row test at every column, so only the multiset
+    test can save nodes there; with zero cells a key also counts the
+    columns that the dephased rows hide behind sentinels.  B's rows are
+    then matched in ``target``'s order, each onto A's unused rows with the
+    same values.
 
     The columns are held as cells: a set of B's columns paired with the set
     of A's columns they may map to, first {b0} -> {c} and the rest -> the
@@ -575,10 +640,14 @@ def _search(A: ButsonMatrix, target: _Target, budget: _Budget) -> Optional[Monom
     the leaf the k-th column of each B cell maps to the k-th of its A cell.
     Values that touch a zero are checked only by the witness there.
     """
+    if sorted(row_keys) != target.row_keys:
+        return None
     n, m, la = A.n, A.m, A.logs
     anchor_zero = target.B.logs[0][target.b0] is None
     full = (1 << n) - 1
     for r in range(n):
+        if row_keys[r] != target.key:
+            continue
         hists = [_diff_hist(row, la[r], m) for row in la]
         turned: dict = {}
         for c in range(n):
@@ -591,8 +660,12 @@ def _search(A: ButsonMatrix, target: _Target, budget: _Budget) -> Optional[Monom
             G = _dephased(A, r, c)
             if _col_shape(G) != target.col_shape:
                 continue
-            if target.triples is not None and _triples(G, m // 2) != target.triples:
-                continue
+            if target.triples is not None:
+                triples = _triples(G, m // 2)
+                if triples != target.triples:
+                    if _unsigned(triples, n) != target.unsigned:
+                        break
+                    continue
             witness = _Anchor(A, target, budget, G, r, sigs).extend(1, [1 << c, full ^ (1 << c)])
             if witness is not None:
                 return witness
@@ -621,28 +694,35 @@ def are_equivalent(
         fa, fb = fingerprint(a), fingerprint(b)
     if fa != fb:
         return EquivalenceVerdict("inequivalent", None, "fingerprint mismatch", 0)
-    return _search_verdict(a, b, budget, {})
+    return _search_verdict(a, fa.row_keys, b, fb.row_keys, budget, {})
 
 
 def _search_verdict(
-    a: ButsonMatrix, b: ButsonMatrix, budget: int, targets: dict[int, _Target]
+    a: ButsonMatrix,
+    a_keys: Sequence[tuple],
+    b: ButsonMatrix,
+    b_keys: Sequence[tuple],
+    budget: int,
+    targets: dict[int, _Target],
 ) -> EquivalenceVerdict:
     """Decide a against b (same size) by search alone.
 
-    Zero cells, if any, must form permutation patterns.  No invariant is
-    consulted, so the verdict is "equivalent" with a witness verified on a
-    and b, "inequivalent" by exhausted search, or "unknown".  It runs at
-    lcm(a.m, b.m): a lift scales every log alike, unseen by a search that
-    compares values only for equality and order.  ``targets`` keeps b's
-    search side by that order for later calls against b.
+    Zero cells, if any, must form permutation patterns.  ``a_keys`` and
+    ``b_keys`` are the matrices' row keys (``_pair_counts``); a search whose
+    key multisets differ ends before its first anchor, so the verdict is
+    "equivalent" with a witness verified on a and b, "inequivalent" by
+    exhausted search, or "unknown".  It runs at lcm(a.m, b.m): a lift
+    scales every log alike, unseen by a search that compares values only
+    for equality and order, and leaves the keys alone.  ``targets`` keeps
+    b's search side by that order for later calls against b.
     """
     m = lcm(a.m, b.m)
     target = targets.get(m)
     if target is None:
-        target = targets[m] = _Target(b.lift(m))
+        target = targets[m] = _Target(b.lift(m), b_keys)
     tracker = _Budget(budget)
     try:
-        witness = _search(a.lift(m), target, tracker)
+        witness = _search(a.lift(m), target, tracker, a_keys)
     except _OutOfBudget:
         return EquivalenceVerdict("unknown", None, "budget exhausted", tracker.used)
     if witness is not None:
@@ -709,14 +789,17 @@ def specialize_and_classify(
     a Hadamard matrix is Hadamard, so a certified point is proven Hadamard by
     its witness; a point that is not Hadamard gets no verified witness.
 
-    Any other point builds its row-pair difference histograms
-    (``_pair_hists``) once, for the Butson Gram kernel of ``check_hadamard``
-    and the fingerprint; if Hadamard, it is bucketed by fingerprint and
-    searched against each class representative in its bucket, whose search
-    side is built once.  A search may spend ``budget`` nodes; a point that no
-    search placed and at least one left undecided joins a class flagged
-    ``undecided`` whose form (recorded apart) certifies it, or else opens a
-    fresh class so flagged, which may be equivalent to an earlier class.
+    Any other point builds its row-pair difference histograms and its row
+    keys (``_pair_counts``) in one pass, for the Butson Gram kernel of
+    ``check_hadamard``, the fingerprint and the search; if Hadamard, it is
+    bucketed by fingerprint and searched against each class representative
+    in its bucket, whose keys ride on its fingerprint and whose search side
+    is built once.  A search between points whose row-key multisets differ
+    ends before its first anchor.  A search may spend ``budget`` nodes; a
+    point that no search placed and at least one left undecided joins a
+    class flagged ``undecided`` whose form (recorded apart) certifies it, or
+    else opens a fresh class so flagged, which may be equivalent to an
+    earlier class.
     """
     result = check_inverse_orthogonal(matrix)
     if not result:
@@ -731,15 +814,15 @@ def specialize_and_classify(
         if seen is not None and _certify(seen[1], seen[2], M, form) is not None:
             seen[0].assignments.append(dict(asg))
             continue
-        hists = Counter(_pair_hists(M.logs, M.m))
+        hists, row_keys = _pair_counts(M)
         if not _check_hadamard_butson(M, hists):
             continue
-        fp = _fingerprint(M, hists, skip_zeros=False)
+        fp = _fingerprint(M, hists, row_keys, skip_zeros=False)
         hit_budget = False
         for cls, cls_fp, targets in found:
             if cls_fp != fp:
                 continue
-            verdict = _search_verdict(M, cls.representative, budget, targets)
+            verdict = _search_verdict(M, row_keys, cls.representative, cls_fp.row_keys, budget, targets)
             if verdict.equivalent:
                 break
             if verdict.status == "unknown":

@@ -21,12 +21,13 @@ from confhad.equivalence import (
     MonomialTransform,
     _certify,
     _fingerprint,
+    _pair_counts,
     _search_verdict,
     _sorted_form,
     specialize_and_classify,
 )
 from confhad.matrices import ButsonMatrix, eval_exact
-from confhad.verify import _check_hadamard_butson, _pair_hists, check_hadamard
+from confhad.verify import _check_hadamard_butson, check_hadamard
 
 NAMES = [n for n in catalog.names() if n.startswith("O12")]
 ORDERS = (2, 3, 4)
@@ -38,15 +39,15 @@ def oracle(matrix, assignments, order, budget):
     found = []
     for asg in assignments:
         M = eval_exact(matrix, asg, order)
-        hists = Counter(_pair_hists(M.logs, M.m))
+        hists, row_keys = _pair_counts(M)
         if not _check_hadamard_butson(M, hists):
             continue
-        fp = _fingerprint(M, hists, skip_zeros=False)
+        fp = _fingerprint(M, hists, row_keys, skip_zeros=False)
         hit_budget = False
         for cls, cls_fp, targets in found:
             if cls_fp != fp:
                 continue
-            verdict = _search_verdict(M, cls.representative, budget, targets)
+            verdict = _search_verdict(M, row_keys, cls.representative, cls_fp.row_keys, budget, targets)
             if verdict.equivalent:
                 cls.assignments.append(dict(asg))
                 break
@@ -225,3 +226,42 @@ def test_equal_forms_give_a_verified_witness():
             perm = witness.col_perm
             moved += any(perm[perm[j]] != j for j in range(n))  # not an involution
     assert certified > 600 and moved > 20
+
+
+def oracle_row_keys(M):
+    """Each row's key from its definition: over the other rows, the sorted
+    counts of the differences of the two rows' nonzero cells, sorted."""
+    return Counter(
+        tuple(
+            sorted(
+                tuple(sorted(Counter((a - b) % M.m for a, b in zip(row, other) if None not in (a, b)).values()))
+                for u, other in enumerate(M.logs)
+                if u != r
+            )
+        )
+        for r, row in enumerate(M.logs)
+    )
+
+
+@pytest.mark.parametrize("name", ["O12d", "O12h"])
+def test_searches_with_differing_row_keys_try_no_anchor(name, monkeypatch):
+    """A search whose two matrices' row-key multisets differ ends at the key
+    comparison: it builds no row histogram and spends no node.  The classes
+    stay the search-only oracle's."""
+    matrix, points = sample(name, 4)
+    want = oracle_summary(name, 4, DEFAULT_BUDGET)
+    search, diff_hist = equivalence._search, equivalence._diff_hist
+    built, parted = [], []
+
+    def watched(A, target, budget, row_keys):
+        before = len(built), budget.used
+        witness = search(A, target, budget, row_keys)
+        if oracle_row_keys(A) != oracle_row_keys(target.B):
+            parted.append(witness is None and (len(built), budget.used) == before)
+        return witness
+
+    monkeypatch.setattr(equivalence, "_diff_hist", lambda *args: built.append(1) or diff_hist(*args))
+    monkeypatch.setattr(equivalence, "_search", watched)
+    got = summary(specialize_and_classify(matrix, points, 4))
+    assert parted and all(parted)
+    assert got == want

@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -8,6 +9,8 @@ from confhad import catalog
 from confhad.equivalence import (
     EquivalenceClass,
     MonomialTransform,
+    _pair_counts,
+    _search_verdict,
     are_equivalent,
     conference_fingerprint,
     fingerprint,
@@ -65,6 +68,12 @@ def paley_i(q):
         return 0 if (j - i) % q in squares else 1
 
     return ButsonMatrix(2, [[cell(i, j) for j in range(q + 1)] for i in range(q + 1)])
+
+
+def search_verdict(a, b, budget):
+    """``_search_verdict`` as ``are_equivalent`` calls it once the
+    fingerprints match: with both matrices' row keys, keeping no search side."""
+    return _search_verdict(a, _pair_counts(a)[1], b, _pair_counts(b)[1], budget, {})
 
 
 def o12d_twin_points():
@@ -218,36 +227,23 @@ class TestAreEquivalent:
 
     def test_hadamard_search_exhausts_on_inequivalent_pair(self):
         # no anchor of H12a dephases to H12d's row and column shape
-        from math import lcm
-
-        from confhad.equivalence import _Budget, _search, _Target
-
-        A, B = butson("H12a"), butson("H12d")
-        m = lcm(A.m, B.m)
-        budget = _Budget(10**8)
-        assert _search(A.lift(m), _Target(B.lift(m)), budget) is None
-        assert budget.used == 0
+        verdict = search_verdict(butson("H12a"), butson("H12d"), 10**8)
+        assert (verdict.status, verdict.reason, verdict.nodes) == ("inequivalent", "exhausted search", 0)
 
     def test_hadamard_search_exhausts_on_same_fingerprint_pair(self):
         # completeness probe for the dephased-anchor search itself: two
         # inequivalent order-4 points of O12d that the fingerprint cannot part
-        from confhad.equivalence import _Budget, _search, _Target
-
         A, B = o12d_twin_points()
         assert fingerprint(A) == fingerprint(B)
-        budget = _Budget(10**8)
-        assert _search(A, _Target(B), budget) is None
-        assert 0 < budget.used < 10**5
+        searched = search_verdict(A, B, 10**8)
+        assert searched.inequivalent and 0 < searched.nodes < 10**5
         verdict = are_equivalent(A, B)
         assert verdict.inequivalent and verdict.reason == "exhausted search"
-        assert verdict.nodes == budget.used
+        assert verdict.nodes == searched.nodes
 
     def test_conference_search_exhausts_on_inequivalent_pair(self):
-        from confhad.equivalence import _Budget, _search, _Target
-
-        budget = _Budget(10**8)
-        assert _search(butson("C6f"), _Target(butson("C6g")), budget) is None
-        assert 0 < budget.used < 10**5
+        verdict = search_verdict(butson("C6f"), butson("C6g"), 10**8)
+        assert verdict.inequivalent and 0 < verdict.nodes < 10**5
 
     def test_tiny_conference_matrices(self):
         # the nonzero cells of these fall into several connected parts, each
@@ -365,8 +361,6 @@ class TestSearchVerdict:
     fingerprints match: it never decides by an invariant."""
 
     def test_never_answers_by_fingerprint(self):
-        from confhad.equivalence import _search_verdict
-
         rng = random.Random(59)
         pairs = [(butson(f"H12{x}"), butson(f"H12{y}")) for x in "adf" for y in "abcdefg"]
         M = butson("H12d")
@@ -374,7 +368,7 @@ class TestSearchVerdict:
         pairs.append(o12d_twin_points())
         reasons = set()
         for a, b in pairs:
-            verdict = _search_verdict(a, b, 10**8, {})
+            verdict = search_verdict(a, b, 10**8)
             reasons.add(verdict.reason)
             if verdict.equivalent:
                 assert verdict.reason == "witness found" and verdict.witness.maps(a, b)
@@ -388,26 +382,33 @@ class TestSearchVerdict:
         # equal fingerprints; every anchor of Sylvester 32 passes the row and
         # column shape tests and fails the row-triple profile of Paley I 32,
         # so the search exhausts without a node (984,064 nodes without it)
-        from confhad.equivalence import _search_verdict
-
         S, P = sylvester(5), paley_i(31)
         assert check_hadamard(S) and check_hadamard(P) and fingerprint(S) == fingerprint(P)
-        verdict = _search_verdict(S, P, 10**4, {})
+        verdict = search_verdict(S, P, 10**4)
+        assert (verdict.status, verdict.reason, verdict.nodes) == ("inequivalent", "exhausted search", 0)
+
+    def test_paley_i_and_paley_ii_60_part_by_unsigned_profiles(self):
+        # equal fingerprints and row keys, as for every pair of +-1 Hadamard
+        # matrices of one order; in each row of Paley I 60 the first anchor
+        # past the shape tests differs from Paley II 60 in the row-triple
+        # profile even unsigned, which no anchor column changes, so the row
+        # is left there
+        P1, P2 = paley_i(59), to_butson(double_orthogonal(paley_core(29)))
+        assert check_hadamard(P1) and check_hadamard(P2) and fingerprint(P1) == fingerprint(P2)
+        t0 = time.monotonic()
+        verdict = are_equivalent(P1, P2)
+        assert time.monotonic() - t0 < 3.0
         assert (verdict.status, verdict.reason, verdict.nodes) == ("inequivalent", "exhausted search", 0)
 
     def test_spent_budget_is_unknown(self):
-        from confhad.equivalence import _search_verdict
-
         a, b = o12d_twin_points()
-        verdict = _search_verdict(a, b, 3, {})
+        verdict = search_verdict(a, b, 3)
         assert verdict.status == "unknown" and verdict.nodes == 3
 
     def test_verdict_does_not_depend_on_the_input_orders(self):
         """The search runs at the orders it is given; lifting either input
         multiplies every log by one constant and changes neither the
         status nor the node count."""
-        from confhad.equivalence import _search_verdict
-
         rng = random.Random(1723)
         groups = [[butson(f"H12{x}") for x in "adf"], [to_butson(catalog.build(f"C6{x}")) for x in "acfg"]]
         pairs = [(a, b) for group in groups for a in group for b in group]
@@ -416,10 +417,10 @@ class TestSearchVerdict:
         pairs.append(o12d_twin_points())
         for a, b in pairs:
             assert a == a.reduce_order() and b == b.reduce_order()
-            base = _search_verdict(a, b, 10**8, {})
+            base = search_verdict(a, b, 10**8)
             for ka, kb in [(2, 1), (1, 3), (2, 2), (3, 2)]:
                 la, lb = a.lift(a.m * ka), b.lift(b.m * kb)
-                verdict = _search_verdict(la, lb, 10**8, {})
+                verdict = search_verdict(la, lb, 10**8)
                 assert (verdict.status, verdict.nodes) == (base.status, base.nodes)
                 if verdict.equivalent:
                     assert verdict.witness.maps(la, lb) and verdict.witness.maps(a, b)

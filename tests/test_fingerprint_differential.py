@@ -17,7 +17,14 @@ from collections import Counter
 import pytest
 
 from confhad import catalog
-from confhad.equivalence import MonomialTransform, _diff_hist, _fingerprint, _quadruple_counts, fingerprint
+from confhad.equivalence import (
+    MonomialTransform,
+    _diff_hist,
+    _fingerprint,
+    _pair_counts,
+    _quadruple_counts,
+    fingerprint,
+)
 from confhad.matrices import (
     ButsonMatrix,
     bordered_circulant,
@@ -75,10 +82,14 @@ def assert_kernel_agrees(M):
 
 def assert_shared_multiset_agrees(M):
     """The Hadamard check, then the fingerprint, read one multiset, as in
-    ``specialize_and_classify``."""
-    shared = Counter(_pair_hists(M.logs, M.m))
+    ``specialize_and_classify``; it is the ``Counter`` of ``_pair_hists``,
+    in the same key order."""
+    shared, row_keys = _pair_counts(M)
+    streamed = Counter(_pair_hists(M.logs, M.m))
+    assert shared == streamed and list(shared) == list(streamed)
     assert _check_hadamard_butson(M, shared) == check_hadamard(M)
-    assert _fingerprint(M, shared, skip_zeros=False) == fingerprint(M)
+    fp = _fingerprint(M, shared, row_keys, skip_zeros=False)
+    assert fp == fingerprint(M) and fp.row_keys == fingerprint(M).row_keys
 
 
 def catalog_butson():

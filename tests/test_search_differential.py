@@ -14,16 +14,18 @@ whole corpus ``_search`` may cost no more nodes than the index-order search.
 
 ``_search`` matches B's rows rarest profile first.  ``rarest_first_order``
 writes that order from its rule, and ``refined_search`` (frozenset cells,
-the same two prunes, anchors screened by ``same_shape`` and, on +-1
-targets, ``triple_profile``) follows a given order: on every pair it must
+the same two prunes, anchors screened by ``row_key``, by ``same_shape``
+and, on +-1 targets, by ``triple_profile``, leaving a row when even the
+unsigned profiles differ) follows a given order: on every pair it must
 take exactly ``_search``'s nodes to the same witness, and on catalog and
 Paley targets the order ``_search`` builds must be the reference's.  The
-anchor screen is also checked alone: the anchors whose turned row
-histograms, then dephased columns, then row-triple profiles match B's must
-be exactly those the reference keeps.  The triple test is checked for
+anchor screen is also checked alone: the anchors whose row keys, turned
+row histograms, then dephased columns, then row-triple profiles match B's
+must be exactly those the reference keeps.  The triple test is checked for
 soundness too: every anchor it rejects exhausts when searched without it,
 and with it the search reaches the same status and witness in no more
-nodes than without.
+nodes than without; its unsigned form must not depend on the anchor
+column.
 
 At the leaf, ``sweep_witness`` (the former ``_witness_from_maps``, which
 swept every cell until no diagonal entry changed) and ``old_maps`` (apply
@@ -49,11 +51,13 @@ from confhad.equivalence import (
     _dephased,
     _diff_hist,
     _OutOfBudget,
+    _pair_counts,
     _row_shapes,
     _row_signature,
     _search,
     _Target,
     _triples,
+    _unsigned,
     _witness_from_maps,
 )
 from confhad.matrices import ButsonMatrix, SymbolicMatrix, bordered_circulant, double_orthogonal, to_butson
@@ -375,6 +379,25 @@ def target_profile(lb, m):
     return triple_profile(lb) if is_plus_minus_one(lb, m) else None
 
 
+def unsigned_profile(profile):
+    """A ``triple_profile`` with the sign of each sum dropped."""
+    return Counter(abs(total) for total in profile.elements())
+
+
+def row_key(M, r):
+    """Row r's key from its definition: for each other row u, the counts of
+    the values (M[r][v] - M[u][v]) % m over the columns v where both cells
+    are nonzero, sorted; those tuples sorted."""
+    m, la = M.m, M.logs
+    return tuple(
+        sorted(
+            tuple(sorted(Counter((a - b) % m for a, b in zip(la[r], la[u]) if a is not None and b is not None).values()))
+            for u in range(M.n)
+            if u != r
+        )
+    )
+
+
 def rarest_first_order(B):
     """B's rows in the order the search matches them, from the rule alone.
 
@@ -410,25 +433,36 @@ def refined_search(A, B, budget, order):
     (b) while a cell holds two or more columns, the unmapped B rows and the
     unused A rows have equal multisets of profiles (value counts per such
     cell), and B's next row is tried only against A rows with its profile.
-    Cells are pairs of frozensets (B columns, A columns)."""
+    Cells are pairs of frozensets (B columns, A columns).  No anchor is
+    tried when the multisets of ``row_key``s differ, and only rows of A with
+    the key of B's row 0 are anchored; a row is left at the first anchor
+    whose unsigned profile differs from B's."""
     n = A.n
     la, b_row0 = A.logs, B.logs[0]
     b0 = next((j for j, x in enumerate(b_row0) if x is not None), 0)
     lb = parent_dephased(B, 0, b0)
     profile = target_profile(lb, B.m)
     all_cols = frozenset(range(n))
+    a_keys, b_keys = [row_key(A, r) for r in range(n)], [row_key(B, u) for u in range(n)]
+    if Counter(a_keys) != Counter(b_keys):
+        return None
 
     def counts(row, cols):
         return frozenset(Counter(row[j] for j in cols).items())
 
     for r in range(n):
+        if a_keys[r] != b_keys[0]:
+            continue
         for c in range(n):
             if (la[r][c] is None) != (b_row0[b0] is None):
                 continue
             G = parent_dephased(A, r, c)
             if not same_shape(G, lb):
                 continue
-            if profile is not None and triple_profile(G) != profile:
+            got = None if profile is None else triple_profile(G)
+            if got != profile:
+                if unsigned_profile(got) != unsigned_profile(profile):
+                    break
                 continue
             used = {r}
             sigma = [r] + [-1] * (n - 1)
@@ -653,8 +687,14 @@ def index_order_search(A, B, budget):
     return None
 
 
-def current_search(A, B, budget):
-    return _search(A, _Target(B), budget)
+def make_target(B):
+    """``_Target`` of B with B's row keys, as ``_search_verdict`` builds it."""
+    return _Target(B, _pair_counts(B)[1])
+
+
+def current_search(A, B, budget, target=None):
+    """``_search`` of A against B (or against ``target``) with A's row keys."""
+    return _search(A, make_target(B) if target is None else target, budget, _pair_counts(A)[1])
 
 
 def witness_key(witness):
@@ -890,7 +930,7 @@ def test_match_order_is_the_reference_order():
     targets += [image(M, rng) for M in targets]
     reordered = 0
     for B in targets:
-        t = _Target(B)
+        t = make_target(B)
         order = [t.level(i).row for i in range(B.n)]
         assert order[0] == 0 and sorted(order) == list(range(B.n))
         assert order == rarest_first_order(B)
@@ -901,11 +941,14 @@ def test_match_order_is_the_reference_order():
 def screened_anchors(A, B):
     """The anchors of A that ``_search`` dephases and searches below: row
     shapes by turned histograms first, then column shapes of the dephased
-    matrix, then its row-triple profile if B's has one.  Also counts the
-    anchors only the column test rejects and those only the profile does."""
-    target = _Target(B)
+    matrix, then its row-triple profile if B's has one, and the row keys.
+    Also counts the anchors only the column test rejects, those only the
+    profile does, and those only the keys do."""
+    target = make_target(B)
+    keys = _pair_counts(A)[1]
+    keyed = sorted(keys) == target.row_keys
     anchor_zero = B.logs[0][target.b0] is None
-    kept, by_columns, by_triples = [], 0, 0
+    kept, by_columns, by_triples, by_keys = [], 0, 0, 0
     for r in range(A.n):
         hists = [_diff_hist(row, A.logs[r], A.m) for row in A.logs]
         turned = {}
@@ -921,16 +964,23 @@ def screened_anchors(A, B):
             if target.triples is not None and _triples(G, A.m // 2) != target.triples:
                 by_triples += 1
                 continue
+            if not keyed or keys[r] != target.key:
+                by_keys += 1
+                continue
             kept.append((r, c))
-    return kept, by_columns, by_triples
+    return kept, by_columns, by_triples, by_keys
 
 
 def oracle_anchors(A, B):
     """The anchors whose dephased matrix has B's shape by ``same_shape`` and,
-    when B's dephased matrix is +-1, B's ``triple_profile``."""
+    when B's dephased matrix is +-1, B's ``triple_profile``, in a row with
+    the ``row_key`` of B's row 0, when A's and B's keys agree as multisets."""
     b0 = next((j for j, x in enumerate(B.logs[0]) if x is not None), 0)
     lb = parent_dephased(B, 0, b0)
     profile = target_profile(lb, B.m)
+    a_keys, b_keys = [row_key(A, r) for r in range(A.n)], [row_key(B, u) for u in range(B.n)]
+    if Counter(a_keys) != Counter(b_keys):
+        return []
 
     def keep(G):
         return same_shape(G, lb) and (profile is None or triple_profile(G) == profile)
@@ -939,18 +989,21 @@ def oracle_anchors(A, B):
         (r, c)
         for r in range(A.n)
         for c in range(A.n)
-        if (A.logs[r][c] is None) == (B.logs[0][b0] is None) and keep(parent_dephased(A, r, c))
+        if a_keys[r] == b_keys[0]
+        and (A.logs[r][c] is None) == (B.logs[0][b0] is None)
+        and keep(parent_dephased(A, r, c))
     ]
 
 
 def assert_screen_agrees(a, b):
     """Returns (anchors kept, anchors rejected by columns only, anchors
-    rejected by the triple profile only, anchors)."""
+    rejected by the triple profile only, anchors rejected by the row keys
+    only, anchors)."""
     m = lcm(a.m, b.m)
     A, B = a.lift(m), b.lift(m)
-    kept, by_columns, by_triples = screened_anchors(A, B)
+    kept, by_columns, by_triples, by_keys = screened_anchors(A, B)
     assert kept == oracle_anchors(A, B)
-    return len(kept), by_columns, by_triples, A.n * A.n
+    return len(kept), by_columns, by_triples, by_keys, A.n * A.n
 
 
 def test_anchor_screen_keeps_the_oracles_anchors():
@@ -967,8 +1020,8 @@ def test_anchor_screen_keeps_the_oracles_anchors():
         n, m, zeros = rng.randint(1, 6), rng.randint(1, 4), rng.random() < 0.7
         A = random_matrix(n, m, zeros, rng)
         pairs += [(A, image(A, rng)), (A, random_matrix(n, m, zeros, rng))]
-    kept, by_columns, by_triples, anchors = map(sum, zip(*(assert_screen_agrees(a, b) for a, b in pairs)))
-    assert 0 < kept < anchors and by_columns > 0 and by_triples > 0  # every test rejects somewhere
+    kept, by_columns, by_triples, by_keys, anchors = map(sum, zip(*(assert_screen_agrees(a, b) for a, b in pairs)))
+    assert 0 < kept < anchors and by_columns > 0 and by_triples > 0 and by_keys > 0  # every test rejects somewhere
 
 
 # The row-triple profile test: sound, and equal to its definition.
@@ -1014,7 +1067,7 @@ def profile_rejected_anchors(A, target):
 def test_rejected_anchors_hold_no_witness():
     rejected = hadamard_rejected = 0
     for A, B in plus_minus_one_pairs():
-        target = _Target(B)
+        target = make_target(B)
         assert target.triples is not None
         full = (1 << A.n) - 1
         for r, c, G, sigs in profile_rejected_anchors(A, target):
@@ -1038,10 +1091,28 @@ def test_triples_is_the_profile_and_ignores_permutations():
             assert _triples([[G[u][v] for v in cols] for u in rows], 1) == got
 
 
+def test_unsigned_profile_ignores_the_anchor_column():
+    """``_unsigned`` drops the sign of ``triple_profile``'s sums, and on a
+    +-1 matrix every anchor of a row gives it one value, so ``_search`` may
+    leave a row at its first anchor whose unsigned profile differs."""
+    rng = random.Random(4423)
+    signed = set()
+    for A, _ in plus_minus_one_pairs():
+        n = A.n
+        for r in rng.sample(range(n), 2):
+            profiles = [_triples(parent_dephased(A, r, c), A.m // 2) for c in range(n)]
+            unsigned = {frozenset(_unsigned(got, n).items()) for got in profiles}
+            assert len(unsigned) == 1
+            signed.add(len(set(frozenset(got.items()) for got in profiles)) > 1)
+            c = rng.randrange(n)
+            assert _unsigned(profiles[c], n) == unsigned_profile(triple_profile(parent_dephased(A, r, c)))
+    assert True in signed  # the signed profile does move with the column
+
+
 def screen_off_search(A, B, budget):
-    target = _Target(B)
+    target = make_target(B)
     target.triples = None
-    return _search(A, target, budget)
+    return current_search(A, B, budget, target)
 
 
 def test_profile_test_keeps_status_and_witness_and_saves_nodes():
@@ -1156,7 +1227,7 @@ def test_witness_matches_the_sweep_on_catalog_pairs():
     for kind in ("H12", "C6"):
         for a, b in catalog_pairs(kind):
             A, B = lifted(a, b)
-            witness = _search(A, _Target(B), _Budget(BUDGET))
+            witness = current_search(A, B, _Budget(BUDGET))
             if witness is not None:
                 found += assert_witness_agrees(A, B, witness.row_perm, witness.col_perm)
                 sigma, tau = witness.row_perm, witness.col_perm
