@@ -229,23 +229,9 @@ def _eval_recipe(expr: str) -> SymbolicMatrix:
     args = _split_args(rest[:-1])
     op = op.strip()
 
-    if op == "subst":
-        base = _eval_recipe(args[0])
-        mapping: dict[str, Monomial] = {}
-        for kv in args[1:]:
-            sym, _, val = kv.partition("=")
-            mono = parse_entry(val.strip())
-            if mono is None:
-                raise ValueError("cannot substitute zero")
-            mapping[sym.strip()] = mono
-        return substitute(base, mapping)
-    if op == "rename":
-        base = _eval_recipe(args[0])
-        mapping = {}
-        for kv in args[1:]:
-            old, _, new = kv.partition("=")
-            mapping[old.strip()] = Monomial.symbol(new.strip())
-        return substitute(base, mapping)
+    if op in ("subst", "rename"):  # rename(M, q=g) substitutes the symbol g
+        pairs = [kv.partition("=") for kv in args[1:]]
+        return substitute(_eval_recipe(args[0]), {sym.strip(): val.strip() for sym, _, val in pairs})
     if op == "transpose":
         return transpose(_eval_recipe(args[0]))
     if op == "dephase":

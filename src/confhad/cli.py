@@ -23,7 +23,6 @@ from . import catalog
 from .equivalence import (
     DEFAULT_BUDGET,
     are_equivalent,
-    conference_fingerprint,
     fingerprint,
     specialize_and_classify,
 )
@@ -39,7 +38,6 @@ from .matrices import (
 from .symbolic import parse_float, parse_int
 from .verify import (
     DEFAULT_TOL,
-    VerificationResult,
     check_conference,
     check_hadamard,
     check_inverse_orthogonal,
@@ -202,10 +200,6 @@ def _verify_auto(matrix: AnyMatrix, tol: float):
     if isinstance(matrix, SymbolicMatrix):
         if all(matrix.rows[i][i] is None for i in range(matrix.n)):
             return check_conference(matrix)
-        for i, row in enumerate(matrix.rows):
-            if None in row:  # worded as check_hadamard words a BH grid's zero cell
-                witness = (i, row.index(None), "zero cell")
-                return VerificationResult(False, witness, "not unimodular")
         return check_inverse_orthogonal(matrix)
     if isinstance(matrix, ButsonMatrix):
         zero_diag = all(matrix.logs[i][i] is None for i in range(matrix.n))
@@ -257,9 +251,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_fingerprint(args) -> int:
-    matrix = _exact_matrix(args.target)
-    fp = conference_fingerprint(matrix) if matrix.has_zero() else fingerprint(matrix)
-    for line in fp.lines():
+    for line in fingerprint(_exact_matrix(args.target)).lines():
         print(line)
     return 0
 

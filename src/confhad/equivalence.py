@@ -6,6 +6,9 @@ matrices P and unit diagonal matrices D.  The quadruple-product multiset
 cheaply; the rest go to a backtracking search that either produces a verified
 witness or exhausts the space.  Diagonals range over the matrices' own root
 order, so "inequivalent by exhausted search" is relative to that notion.
+``fingerprint`` is the one pass over a matrix's row pairs: it builds their
+difference histograms, the row keys and the quadruple counts for every
+caller, with or without zero cells.
 
 One search serves Hadamard and conference inputs.  It dephases B about one
 cell and A about every cell in turn, which removes the diagonals.  Each row
@@ -47,7 +50,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .matrices import ButsonMatrix, SymbolicMatrix, eval_exact
-from .verify import _check_hadamard_butson, _pair_hists, check_inverse_orthogonal
+from .verify import _pair_hists, check_inverse_orthogonal
 
 DEFAULT_BUDGET = 10**8
 
@@ -61,9 +64,9 @@ class Fingerprint:
     base zeta_m with m the order of the group the quadruple values generate
     (not the matrix's root order, which diagonal scalings can change).
     ``zeros`` records how many quadruples were skipped for touching a zero
-    cell (conference mode).  ``row_keys`` (see ``_pair_counts``) come from
-    the same pass for the search; equality does not compare them, so a pair
-    they part still goes to the search and is decided there.
+    cell (0 on a zero-free matrix).  ``row_keys`` (see ``_pair_counts``)
+    come from the same pass for the search; equality does not compare them,
+    so a pair they part still goes to the search and is decided there.
     """
 
     n: int
@@ -78,9 +81,7 @@ class Fingerprint:
         return out
 
 
-def _quadruple_counts(
-    M: ButsonMatrix, pairs: Counter[tuple[int, ...]], skip_zeros: bool
-) -> tuple[dict[int, int], int]:
+def _quadruple_counts(M: ButsonMatrix, pairs: Mapping[tuple[int, ...], int]) -> tuple[dict[int, int], int]:
     """Quadruple-value counts and the number of skipped (zero-touching) quadruples.
 
     For rows i, k the value at columns j, l is d[j] - d[l] with d = row_i - row_k,
@@ -88,15 +89,13 @@ def _quadruple_counts(
     of d over the s columns where both rows are nonzero, less the s terms j = l.
     The pair (k, i) negates d, which leaves that autocorrelation unchanged,
     and pairs with equal vectors share one autocorrelation, weighted by
-    their number: ``pairs`` is the ``Counter`` of M's ``_pair_hists``.
+    their number: ``pairs`` maps each of M's ``_pair_hists`` to its count.
     """
     n, m = M.n, M.m
     counts: Counter[int] = Counter()
     skipped = 0
     for hist, w in pairs.items():
         s = sum(hist)
-        if s < n and not skip_zeros:
-            raise ValueError("zero cell in Hadamard fingerprint")
         skipped += 2 * w * (n * (n - 1) - s * (s - 1))
         items = [(a, c) for a, c in enumerate(hist) if c]
         for a, ca in items:
@@ -115,8 +114,7 @@ def _pair_counts(M: ButsonMatrix) -> tuple[Counter[tuple[int, ...]], tuple[tuple
     it alone, so none changes the nonzero counts: a monomial map that carries
     B's row i onto A's row r gives them one key, at any orders, and the
     multiset of keys is an invariant.  Only the distinct vectors are held,
-    each pair as the index of its vector; when all pairs share one key, as
-    in every +-1 Hadamard matrix, the n equal keys need no pass over pairs.
+    each pair as the index of its vector.
     """
     n = M.n
     first: dict[tuple[int, ...], int] = {}
@@ -124,8 +122,6 @@ def _pair_counts(M: ButsonMatrix) -> tuple[Counter[tuple[int, ...]], tuple[tuple
     weights = Counter(ids)
     pairs = Counter({hist: weights[k] for hist, k in first.items()})
     pair_keys = [tuple(sorted(filter(None, hist))) for hist in first]
-    if len(set(pair_keys)) <= 1:
-        return pairs, (tuple(pair_keys[:1] * (n - 1)),) * n
     rows: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     ends = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for (i, j), k in zip(ends, ids):
@@ -134,22 +130,21 @@ def _pair_counts(M: ButsonMatrix) -> tuple[Counter[tuple[int, ...]], tuple[tuple
     return pairs, tuple(tuple(sorted(row)) for row in rows)
 
 
-def _fingerprint(
-    M: ButsonMatrix, pairs: Counter[tuple[int, ...]], row_keys: tuple, skip_zeros: bool
-) -> Fingerprint:
-    counts, skipped = _quadruple_counts(M, pairs, skip_zeros)
+def fingerprint(M: ButsonMatrix) -> Fingerprint:
+    """Equivalence invariant of an exact matrix, with or without zero cells.
+
+    Quadruples that touch a zero cell are skipped and counted in ``zeros``;
+    the row keys of ``_pair_counts`` ride along for the search.
+    """
+    pairs, row_keys = _pair_counts(M)
+    counts, skipped = _quadruple_counts(M, pairs)
     g = gcd(M.m, *counts)  # zeta_m^g generates the quadruple values
     return Fingerprint(M.n, M.m // g, tuple(sorted((v // g, c) for v, c in counts.items())), skipped, row_keys)
 
 
-def fingerprint(M: ButsonMatrix) -> Fingerprint:
-    """Equivalence invariant for zero-free exact matrices."""
-    return _fingerprint(M, *_pair_counts(M), skip_zeros=False)
-
-
 def conference_fingerprint(M: ButsonMatrix) -> Fingerprint:
-    """Fingerprint variant that skips quadruples touching zero cells."""
-    return _fingerprint(M, *_pair_counts(M), skip_zeros=True)
+    """``fingerprint``, under the name conference matrices were fingerprinted by."""
+    return fingerprint(M)
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,12 +313,7 @@ def _dephased(M: ButsonMatrix, r: int, c: int) -> list[list[int]]:
             out.append([_ZERO] * len(row))
             continue
         shift = anchor - x
-        if None in row or None in head:
-            out.append(
-                [_ZERO if a is None or b is None else (a + shift - b) % m for a, b in zip(row, head)]
-            )
-        else:
-            out.append([(a + shift - b) % m for a, b in zip(row, head)])
+        out.append([_ZERO if a is None or b is None else (a + shift - b) % m for a, b in zip(row, head)])
     return out
 
 
@@ -689,9 +679,7 @@ def are_equivalent(
     if zeros:
         _check_zero_pattern(a)
         _check_zero_pattern(b)
-        fa, fb = conference_fingerprint(a), conference_fingerprint(b)
-    else:
-        fa, fb = fingerprint(a), fingerprint(b)
+    fa, fb = fingerprint(a), fingerprint(b)
     if fa != fb:
         return EquivalenceVerdict("inequivalent", None, "fingerprint mismatch", 0)
     return _search_verdict(a, fa.row_keys, b, fb.row_keys, budget, {})
@@ -776,30 +764,29 @@ def specialize_and_classify(
     order: int,
     budget: int = DEFAULT_BUDGET,
 ) -> list[EquivalenceClass]:
-    """Evaluate at unit assignments, keep exact Hadamard results, classify.
+    """Evaluate at unit assignments and classify the Hadamard matrices they give.
 
-    Assignments give root-of-unity logs base zeta_order per symbol.  A point
-    is first placed by its ``_sorted_form``: dephasing is a diagonal scaling
-    and sorting permutes rows and columns, so points with one key are
-    equivalent, and ``_certify`` turns their sort orders into a witness
+    Assignments give root-of-unity logs base zeta_order per symbol.
+    ``check_inverse_orthogonal`` proves M * (1/M)^T == n*I exactly, in the
+    free parameters, on a matrix without zero cells; a matrix that fails it
+    raises ValueError.  At roots of unity 1/x is the conjugate of x, so every
+    point is Hadamard and none is checked again.
+
+    A point is first placed by its ``_sorted_form``: dephasing is a diagonal
+    scaling and sorting permutes rows and columns, so points with one key
+    are equivalent, and ``_certify`` turns their sort orders into a witness
     checked on every cell; the witness, not the key, is the proof.  A point
     whose key matches an earlier point of a class not flagged ``undecided``,
-    by a witness that verifies, joins that class.  Forms are recorded only
-    for points that passed the exact Hadamard check, and a monomial image of
-    a Hadamard matrix is Hadamard, so a certified point is proven Hadamard by
-    its witness; a point that is not Hadamard gets no verified witness.
+    by a witness that verifies, joins that class.
 
-    Any other point builds its row-pair difference histograms and its row
-    keys (``_pair_counts``) in one pass, for the Butson Gram kernel of
-    ``check_hadamard``, the fingerprint and the search; if Hadamard, it is
-    bucketed by fingerprint and searched against each class representative
-    in its bucket, whose keys ride on its fingerprint and whose search side
-    is built once.  A search between points whose row-key multisets differ
-    ends before its first anchor.  A search may spend ``budget`` nodes; a
-    point that no search placed and at least one left undecided joins a
-    class flagged ``undecided`` whose form (recorded apart) certifies it, or
-    else opens a fresh class so flagged, which may be equivalent to an
-    earlier class.
+    Any other point is fingerprinted, bucketed by fingerprint and searched
+    against each class representative in its bucket, whose row keys ride on
+    its fingerprint and whose search side is built once.  A search between
+    points whose row-key multisets differ ends before its first anchor.  A
+    search may spend ``budget`` nodes; a point that no search placed and at
+    least one left undecided joins a class flagged ``undecided`` whose form
+    (recorded apart) certifies it, or else opens a fresh class so flagged,
+    which may be equivalent to an earlier class.
     """
     result = check_inverse_orthogonal(matrix)
     if not result:
@@ -814,15 +801,12 @@ def specialize_and_classify(
         if seen is not None and _certify(seen[1], seen[2], M, form) is not None:
             seen[0].assignments.append(dict(asg))
             continue
-        hists, row_keys = _pair_counts(M)
-        if not _check_hadamard_butson(M, hists):
-            continue
-        fp = _fingerprint(M, hists, row_keys, skip_zeros=False)
+        fp = fingerprint(M)
         hit_budget = False
         for cls, cls_fp, targets in found:
             if cls_fp != fp:
                 continue
-            verdict = _search_verdict(M, row_keys, cls.representative, cls_fp.row_keys, budget, targets)
+            verdict = _search_verdict(M, fp.row_keys, cls.representative, cls_fp.row_keys, budget, targets)
             if verdict.equivalent:
                 break
             if verdict.status == "unknown":

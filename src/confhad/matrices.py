@@ -19,7 +19,7 @@ from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .cyclotomic import minimal_root_order
-from .symbolic import Entry, Monomial, ONE, entry_str, parse_entry
+from .symbolic import Entry, Monomial, ONE, parse_entry
 
 
 def _square(grid: tuple[tuple, ...]) -> int:
@@ -69,13 +69,6 @@ class SymbolicMatrix:
 
     def __repr__(self) -> str:
         return f"<SymbolicMatrix {self.n}x{self.n}>"
-
-    def __str__(self) -> str:
-        cells = [[entry_str(c) for c in row] for row in self.rows]
-        widths = [max(len(cells[i][j]) for i in range(self.n)) for j in range(self.n)]
-        return "\n".join(
-            " ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells
-        )
 
 
 @dataclass(frozen=True, slots=True)

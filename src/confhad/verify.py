@@ -10,7 +10,9 @@ values of the free parameters exactly when each parameter part's 4th-root
 counts cancel, c0 = c2 and c1 = c3; on the codes that is a multiset compare
 in integer arithmetic.  The Butson kernel counts a row pair's differences by
 popcounts of per-row value bitmasks and tests their sum over m-th roots exactly,
-modulo the cyclotomic polynomial.  Floating checks are smoke tests only; a
+modulo the cyclotomic polynomial.  The zero-free identities (inverse
+orthogonal, Butson Hadamard) fail on the first zero cell with one wording,
+``zero cell [not unimodular]``.  Floating checks are smoke tests only; a
 symbolic failure is authoritative even if sampled floats look fine.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .cyclotomic import root_sum_is_zero
 from .matrices import ButsonMatrix, ComplexMatrix, SymbolicMatrix
@@ -142,9 +144,8 @@ def _pair_hists(logs, m: int) -> Iterator[tuple[int, ...]]:
 
     Each row is built once as one column bitmask per value it holds, and a
     pair costs one popcount per pair of values the two rows hold, or one
-    step per column where that is fewer.  Its ``Counter`` is the multiset
-    that both the Butson Gram kernel and the fingerprint's autocorrelation
-    read, so a caller that needs both builds that once."""
+    step per column where that is fewer.  The Butson Gram kernel reads the
+    vectors in order, the fingerprint's autocorrelation their multiset."""
     masks = []
     for row in logs:
         by_value: dict[int, int] = {}
@@ -168,22 +169,19 @@ def _pair_hists(logs, m: int) -> Iterator[tuple[int, ...]]:
             yield tuple(counts)
 
 
-def _gram_butson(logs, m: int, hists: Iterable[tuple[int, ...]]) -> VerificationResult:
+def _gram_butson(logs, m: int) -> VerificationResult:
     """sum_k zeta_m^(logs[i][k] - logs[j][k]) == 0 for every row pair i < j,
     skipping columns where either cell is zero.
 
-    ``hists`` is ``_pair_hists(logs, m)``, lazily, or its ``Counter``, whose
-    keys come in the order of their first pair.  Pairs with equal count
-    vectors share one exact test, and every pair with a failing vector
-    fails, so either way the first failing vector is the first failing
-    pair's, which the witness finds again and prints.
+    The pairs are read from ``_pair_hists`` in order, and pairs with equal
+    count vectors share one exact test, so the witness is the first failing
+    pair's.
     """
     verdicts: dict[tuple[int, ...], bool] = {}
-    for hist in hists:
+    n = len(logs)
+    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+    for (i, j), hist in zip(pairs, _pair_hists(logs, m)):
         if not _vanishes(hist, m, verdicts):
-            n = len(logs)
-            pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
-            i, j = next(pair for pair, h in zip(pairs, _pair_hists(logs, m)) if h == hist)
             # the witness shows at most 16 root counts, then how many more
             counts = list(hist)
             detail = counts if m <= 16 else f"{counts[:16]} (+{m - 16} more)"
@@ -191,12 +189,17 @@ def _gram_butson(logs, m: int, hists: Iterable[tuple[int, ...]]) -> Verification
     return _ok()
 
 
-def check_inverse_orthogonal(matrix: SymbolicMatrix) -> VerificationResult:
-    """A * (1/a_ji) == n*I identically in the free parameters."""
-    for i, row in enumerate(matrix.rows):
+def _nonzero(rows) -> VerificationResult:
+    """A failure at the first zero cell, row by row; else a pass."""
+    for i, row in enumerate(rows):
         if None in row:
-            raise ValueError(f"zero cell at ({i},{row.index(None)})")
-    return _gram_symbolic(matrix.rows)
+            return _fail(i, row.index(None), "zero cell", "not unimodular")
+    return _ok()
+
+
+def check_inverse_orthogonal(matrix: SymbolicMatrix) -> VerificationResult:
+    """No zero cell, and A * (1/a_ji) == n*I identically in the free parameters."""
+    return _nonzero(matrix.rows) and _gram_symbolic(matrix.rows)
 
 
 def check_conference(matrix: Union[SymbolicMatrix, ButsonMatrix]) -> VerificationResult:
@@ -217,16 +220,7 @@ def check_conference(matrix: Union[SymbolicMatrix, ButsonMatrix]) -> Verificatio
                 return _fail(i, j, "zero off-diagonal cell", "structure")
     if isinstance(matrix, SymbolicMatrix):
         return _gram_symbolic(rows)
-    return _gram_butson(rows, matrix.m, _pair_hists(rows, matrix.m))
-
-
-def _check_hadamard_butson(matrix: ButsonMatrix, hists: Iterable[tuple[int, ...]]) -> VerificationResult:
-    """``check_hadamard`` on Butson input, given its ``_pair_hists`` as
-    ``_gram_butson`` takes them."""
-    for i, row in enumerate(matrix.logs):
-        if None in row:
-            return _fail(i, row.index(None), "zero cell", "not unimodular")
-    return _gram_butson(matrix.logs, matrix.m, hists)
+    return _gram_butson(rows, matrix.m)
 
 
 def _check_hadamard_complex(matrix: ComplexMatrix, tol: float) -> VerificationResult:
@@ -257,7 +251,7 @@ def check_hadamard(
 ) -> VerificationResult:
     """All cells unimodular and M * M^H == n*I (exact for Butson input)."""
     if isinstance(matrix, ButsonMatrix):
-        return _check_hadamard_butson(matrix, _pair_hists(matrix.logs, matrix.m))
+        return _nonzero(matrix.logs) and _gram_butson(matrix.logs, matrix.m)
     if isinstance(matrix, ComplexMatrix):
         if not 0 < tol < math.inf:
             raise ValueError("tolerance must be finite and positive")

@@ -5,7 +5,10 @@ certificates: every Hadamard point is fingerprinted and searched against
 the representatives of the classes with its fingerprint.  On seeded samples
 of O12a-O12h at orders 2, 3 and 4 the certified loop must give the same
 classes whenever no search runs out of budget, and under small budgets it
-may only place more points in decided classes, never fewer.
+may only place more points in decided classes, never fewer.  The oracle
+drops points that fail ``check_hadamard``; the classifier keeps every point,
+because a unimodular point of an inverse orthogonal matrix is Hadamard, so
+equal classes also show that it kept no point the oracle dropped.
 """
 
 from collections import Counter
@@ -20,18 +23,18 @@ from confhad.equivalence import (
     EquivalenceClass,
     MonomialTransform,
     _certify,
-    _fingerprint,
-    _pair_counts,
     _search_verdict,
     _sorted_form,
+    fingerprint,
     specialize_and_classify,
 )
 from confhad.matrices import ButsonMatrix, eval_exact
-from confhad.verify import _check_hadamard_butson, check_hadamard
+from confhad.verify import check_hadamard, check_inverse_orthogonal
 
 NAMES = [n for n in catalog.names() if n.startswith("O12")]
 ORDERS = (2, 3, 4)
 POINTS = 16
+THEOREM_POINTS = 64  # per family and order
 
 
 def oracle(matrix, assignments, order, budget):
@@ -39,15 +42,14 @@ def oracle(matrix, assignments, order, budget):
     found = []
     for asg in assignments:
         M = eval_exact(matrix, asg, order)
-        hists, row_keys = _pair_counts(M)
-        if not _check_hadamard_butson(M, hists):
+        if not check_hadamard(M):
             continue
-        fp = _fingerprint(M, hists, row_keys, skip_zeros=False)
+        fp = fingerprint(M)
         hit_budget = False
         for cls, cls_fp, targets in found:
             if cls_fp != fp:
                 continue
-            verdict = _search_verdict(M, row_keys, cls.representative, cls_fp.row_keys, budget, targets)
+            verdict = _search_verdict(M, fp.row_keys, cls.representative, cls_fp.row_keys, budget, targets)
             if verdict.equivalent:
                 cls.assignments.append(dict(asg))
                 break
@@ -126,8 +128,10 @@ def test_the_witness_not_the_key_places_a_point(name, order, monkeypatch):
 def test_a_certified_point_that_is_not_hadamard_is_dropped(name, order, monkeypatch):
     """One point is evaluated with one cell moved, so it is not Hadamard.
     Its form collides with every earlier one, but no monomial image of a
-    recorded Hadamard point matches it cell by cell: it must reach the exact
-    check and be dropped, and every other point is classified as before."""
+    recorded Hadamard point matches it cell by cell: it must reach the
+    search, which finds it equivalent to no Hadamard point, so it is dropped
+    from every class of them and stands alone, and every other point is
+    classified as before."""
     matrix, points = sample(name, order)
     chosen = POINTS // 2
     calls = []
@@ -147,9 +151,10 @@ def test_a_certified_point_that_is_not_hadamard_is_dropped(name, order, monkeypa
         equivalence, "_sorted_form", lambda M: ((), list(range(M.n)), list(range(M.n)))
     )
     got = summary(specialize_and_classify(matrix, points, order))
+    alone = [c for c in got if not check_hadamard(ButsonMatrix(*c[:2]))]
+    assert len(alone) == 1 and alone[0][2:] == ([points[chosen]], False)
     rest = points[:chosen] + points[chosen + 1 :]
-    assert sum(len(asg) for _, _, asg, _ in got) == POINTS - 1
-    assert got == summary(oracle(matrix, rest, order, DEFAULT_BUDGET))
+    assert [c for c in got if c is not alone[0]] == summary(oracle(matrix, rest, order, DEFAULT_BUDGET))
 
 
 @pytest.mark.parametrize("name,order", CASES)
@@ -162,6 +167,21 @@ def test_every_classified_point_is_hadamard(name, order):
     for cls in classes:
         for asg in cls.assignments:
             assert check_hadamard(eval_exact(matrix, asg, order))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_every_root_of_unity_point_is_hadamard(name):
+    """The fact ``specialize_and_classify`` rests on instead of a check per
+    point: once ``check_inverse_orthogonal`` passes, every point of the
+    family at roots of unity is Hadamard."""
+    matrix = catalog.build_verified(name)
+    assert check_inverse_orthogonal(matrix)
+    symbols = sorted(matrix.symbols())
+    rng = random.Random(f"theorem/{name}")
+    for order in (1, 2, 3, 4, 6, 12):
+        for _ in range(THEOREM_POINTS):
+            point = {s: rng.randrange(order) for s in symbols}
+            assert check_hadamard(eval_exact(matrix, point, order)), (order, point)
 
 
 def sign_points(matrix):

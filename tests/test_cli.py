@@ -65,6 +65,10 @@ def test_verify_exit_codes(capsys):
 def test_verify_family_numeric(capsys):
     code, out, _ = run(capsys, "verify", "D12c", "--numeric", "--seed", "5")
     assert code == 0
+    # --tol is the bound the residuals are held to
+    assert run(capsys, "verify", "D12c", "--numeric", "--seed", "5", "--tol", "1e-6") == (0, "pass\n", "")
+    code, out, _ = run(capsys, "verify", "D12c", "--numeric", "--seed", "5", "--tol", "1e-300")
+    assert code == 1 and out.startswith("fail at")
     # the printed seven-phase pattern fails; the verified overrides pass
     phases = "0.1,0.2,0.3,0.4,0.5,0.6,0.7"
     code, _, _ = run(capsys, "verify", "D12h", "--numeric", "--phases", phases)
@@ -153,6 +157,19 @@ def test_equiv_tiny_conference_files(capsys, tmp_path):
     for a, b in (("one", "one"), ("diag", "flip"), ("flip", "diag")):
         code, out, _ = run(capsys, "equiv", str(files[a]), str(files[b]))
         assert code == 0 and out.startswith("equivalent (witness found;")
+
+
+def test_equiv_on_inputs_it_cannot_compare_is_a_usage_error(capsys, tmp_path):
+    rows = tmp_path / "rows.bh"  # two zeros in row 0: no permutation pattern
+    rows.write_text("BH 2 2\nz z\n0 0\n")
+    diagonal = tmp_path / "diagonal.bh"
+    diagonal.write_text("BH 2 2\nz 0\n0 z\n")
+    for a, b, reason in (
+        ("H12a", "C6a", "dimension mismatch"),
+        (str(rows), str(diagonal), "zero cells must form a permutation pattern"),
+        (str(diagonal), str(rows), "zero cells must form a permutation pattern"),
+    ):
+        assert run(capsys, "equiv", a, b) == (64, "", f"confhad: error: {reason}\n")
 
 
 def test_equiv_coprime_order_files(capsys, tmp_path):
@@ -312,6 +329,12 @@ def test_every_command_on_every_catalog_name_exits_with_a_documented_code(capsys
 
 def test_usage_errors(capsys):
     assert run(capsys, "build", "NOPE")[0] == 64
+    for command in ("derive", "reconcile", "specialize"):
+        assert run(capsys, command, "NOPE") == (64, "", "confhad: error: unknown catalog name 'NOPE'\n")
+    for n in ("0", "1"):
+        assert run(capsys, "search", "--n", n, "--roots", "2") == (
+            64, "", "confhad: error: need --n >= 2 and --roots >= 1\n"
+        )
     assert run(capsys, "equiv", "O12a", "H12a")[0] == 64  # free symbols
     assert run(capsys, "verify", "/no/such/file")[0] == 64
     code, _, err = run(capsys, "verify", "R12_6")

@@ -103,9 +103,9 @@ class TestFingerprint:
         assert fp.m == 2
         assert {k for k, _ in fp.counts} <= {0, 1}
 
-    def test_zero_cells_rejected_in_hadamard_mode(self):
-        with pytest.raises(ValueError):
-            fingerprint(butson("C6a"))
+    def test_zero_cells_are_skipped_under_both_names(self):
+        M = butson("C6a")
+        assert fingerprint(M) == conference_fingerprint(M) and fingerprint(M).zeros > 0
 
     def test_conference_variant_skips_zero_quadruples(self):
         fp = conference_fingerprint(butson("C6a"))
@@ -197,6 +197,13 @@ class TestAreEquivalent:
         logs[0][0], logs[0][1] = 0, None  # row 0 and column 1 hold two zeros
         with pytest.raises(ValueError, match="permutation pattern"):
             are_equivalent(C, ButsonMatrix(C.m, logs))
+
+    def test_inequivalent_by_zero_cell_count(self):
+        C = butson("C6a")
+        full = ButsonMatrix(C.m, [[0 if x is None else x for x in row] for row in C.logs])
+        for a, b in ((C, full), (full, C)):
+            verdict = are_equivalent(a, b)
+            assert (verdict.status, verdict.reason, verdict.nodes) == ("inequivalent", "zero cell counts differ", 0)
 
     def test_inequivalent_by_fingerprint(self):
         verdict = are_equivalent(butson("H12a"), butson("H12d"))
@@ -479,9 +486,13 @@ class TestSpecializeAndClassify:
     def test_rejects_non_orthogonal_input(self):
         from confhad.matrices import SymbolicMatrix
 
-        bad = SymbolicMatrix.from_strings([["1", "1"], ["1", "1"]])
-        with pytest.raises(ValueError):
-            specialize_and_classify(bad, [{}], order=2)
+        for rows, reason in (
+            ([["1", "1"], ["1", "1"]], r"fail at \(0,1\): 2 \[off-diagonal sum != 0\]"),
+            ([["1", "1"], ["1", "0"]], r"fail at \(1,1\): zero cell \[not unimodular\]"),
+        ):
+            bad = SymbolicMatrix.from_strings(rows)
+            with pytest.raises(ValueError, match=f"^matrix is not inverse orthogonal: {reason}$"):
+                specialize_and_classify(bad, [{}], order=2)
 
     def test_rejects_non_positive_order(self):
         M = catalog.build_verified("O12a")

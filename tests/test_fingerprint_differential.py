@@ -3,24 +3,22 @@ straightforward O(n^4) loop it replaced.
 
 The oracle below visits every ordered row pair i != k and column pair j != l,
 counts the quadruple value M[i][j] + M[k][l] - M[i][l] - M[k][j] (logs), and
-either skips or rejects the quadruples that touch a zero cell.  The kernel
-must return the same counts and the same number of skipped quadruples in
-both modes, and raise where the oracle raises.  ``specialize_and_classify``
-builds each point's row-pair histograms once and hands the same multiset to
-the Hadamard check and then to the fingerprint; on the points of the
-families it classifies, that fingerprint must be ``fingerprint(M)``.
+skips (with ``skip_zeros``) the quadruples that touch a zero cell.  The
+kernel must return the same counts and the same number of skipped
+quadruples, and ``fingerprint`` must report that number, whatever the zero
+pattern.  The kernel reads the multiset from ``_pair_counts``, which also
+gives ``fingerprint`` its row keys; on the points of the families
+``specialize_and_classify`` classifies that multiset must be the
+``Counter`` of ``_pair_hists``.
 """
 
 import random
 from collections import Counter
 
-import pytest
-
 from confhad import catalog
 from confhad.equivalence import (
     MonomialTransform,
     _diff_hist,
-    _fingerprint,
     _pair_counts,
     _quadruple_counts,
     fingerprint,
@@ -33,7 +31,7 @@ from confhad.matrices import (
     to_butson,
 )
 from confhad.symbolic import Monomial
-from confhad.verify import _check_hadamard_butson, _pair_hists, check_hadamard
+from confhad.verify import _pair_hists
 
 
 def old_quadruple_counts(M, skip_zeros):
@@ -63,33 +61,24 @@ def old_quadruple_counts(M, skip_zeros):
     return dict(counts), skipped
 
 
-def kernel(M, skip_zeros):
-    return _quadruple_counts(M, Counter(_pair_hists(M.logs, M.m)), skip_zeros)
+def kernel(M):
+    return _quadruple_counts(M, Counter(_pair_hists(M.logs, M.m)))
 
 
 def assert_kernel_agrees(M):
-    """Both modes; returns whether the Hadamard mode raised."""
-    assert kernel(M, skip_zeros=True) == old_quadruple_counts(M, True)
-    try:
-        want = old_quadruple_counts(M, False)
-    except ValueError:
-        with pytest.raises(ValueError, match="zero cell"):
-            kernel(M, skip_zeros=False)
-        return True
-    assert kernel(M, skip_zeros=False) == want
-    return False
+    """Returns whether some quadruple touches a zero cell."""
+    want = old_quadruple_counts(M, skip_zeros=True)
+    assert kernel(M) == want and fingerprint(M).zeros == want[1]
+    return want[1] > 0
 
 
 def assert_shared_multiset_agrees(M):
-    """The Hadamard check, then the fingerprint, read one multiset, as in
-    ``specialize_and_classify``; it is the ``Counter`` of ``_pair_hists``,
-    in the same key order."""
+    """``fingerprint`` reads ``_pair_counts``: the ``Counter`` of
+    ``_pair_hists``, in the same key order, and the row keys it carries."""
     shared, row_keys = _pair_counts(M)
     streamed = Counter(_pair_hists(M.logs, M.m))
     assert shared == streamed and list(shared) == list(streamed)
-    assert _check_hadamard_butson(M, shared) == check_hadamard(M)
-    fp = _fingerprint(M, shared, row_keys, skip_zeros=False)
-    assert fp == fingerprint(M) and fp.row_keys == fingerprint(M).row_keys
+    assert fingerprint(M).row_keys == row_keys
 
 
 def catalog_butson():

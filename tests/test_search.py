@@ -46,6 +46,9 @@ def test_found_rows_match_catalog_cores():
 def test_circulant_tiny():
     assert search_circulant(2, 1) == [(None, 0)]
     assert check_conference(circulant_matrix((None, 0), 1))
+    for search in (search_circulant, search_bordered_circulant):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            search(1, 2)
 
 
 def test_circulant_4_2_and_6_2_empty():

@@ -45,8 +45,10 @@ class TestInverseOrthogonal:
         assert check_inverse_orthogonal(sym([["1", "1"], ["1", "-1"]]))
 
     def test_zero_cell_is_an_error(self):
-        with pytest.raises(ValueError):
-            check_inverse_orthogonal(sym([["0", "1"], ["1", "1"]]))
+        for rows, cell in (([["0", "1"], ["1", "1"]], (0, 0)), ([["1", "1"], ["1", "0"]], (1, 1))):
+            result = check_inverse_orthogonal(sym(rows))
+            assert not result and result.witness == (*cell, "zero cell")
+            assert result.describe() == f"fail at ({cell[0]},{cell[1]}): zero cell [not unimodular]"
 
     def test_witness_accompanies_failure_only(self):
         with pytest.raises(ValueError):
@@ -85,6 +87,12 @@ class TestConference:
         nonzero_diag = sym([["1", "1"], ["1", "1"]])
         result = check_conference(nonzero_diag)
         assert not result and result.message == "structure"
+        for matrix in (
+            sym([["0", "0", "1"], ["1", "0", "1"], ["1", "1", "0"]]),
+            ButsonMatrix(2, [[None, None, 0], [0, None, 0], [0, 0, None]]),
+        ):
+            result = check_conference(matrix)
+            assert not result and result.describe() == "fail at (0,1): zero off-diagonal cell [structure]"
 
     def test_butson_variant_agrees_with_symbolic(self):
         for name in ("C6a", "C6d", "C6f", "C6g"):
