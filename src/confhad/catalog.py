@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .formats import parse_exponent, parse_symbolic
 from .matrices import (
@@ -97,6 +97,12 @@ def _data_text(filename: str) -> str:
     return (resources.files("confhad") / "data" / filename).read_text()
 
 
+def _data_lines(filename: str) -> list[str]:
+    """The file's stripped lines, without blank lines and ``#`` comments."""
+    lines = (line.strip() for line in _data_text(filename).splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 @dataclass(frozen=True, slots=True)
 class CellRepair:
     row: int
@@ -116,10 +122,7 @@ _REPAIR_RE = re.compile(
 @lru_cache(maxsize=None)
 def _all_repairs() -> dict[str, tuple[CellRepair, ...]]:
     out: dict[str, list[CellRepair]] = {}
-    for line in _data_text("repairs.txt").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in _data_lines("repairs.txt"):
         m = _REPAIR_RE.match(line)
         if not m:
             raise ValueError(f"malformed repair line: {line!r}")
@@ -182,10 +185,7 @@ def build_verified(name: str) -> Union[SymbolicMatrix, ExponentMatrix]:
 @lru_cache(maxsize=None)
 def _recipes() -> dict[str, str]:
     out = {}
-    for line in _data_text("recipes.txt").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in _data_lines("recipes.txt"):
         name, _, expr = line.partition(":=")
         out[name.strip()] = expr.strip()
     return out
@@ -391,6 +391,11 @@ def fit_reparametrization(
     return mapping, tuple(perm)
 
 
+def random_phases(symbols: Iterable[str], rng: random.Random) -> dict[str, float]:
+    """One phase drawn from ``rng`` per symbol, in sorted symbol order."""
+    return {s: rng.uniform(-3.2, 3.2) for s in sorted(symbols)}
+
+
 def _family_spot_check(
     base: SymbolicMatrix, expo: ExponentMatrix, seed: int
 ) -> VerificationResult:
@@ -398,8 +403,7 @@ def _family_spot_check(
     the first failing draw, else the last."""
     rng = random.Random(seed)
     for _ in range(3):
-        phases = {s: rng.uniform(-3.2, 3.2) for s in sorted(expo.symbols())}
-        result = check_hadamard(eval_exponent_form(base, expo, phases))
+        result = check_hadamard(eval_exponent_form(base, expo, random_phases(expo.symbols(), rng)))
         if not result:
             break
     return result

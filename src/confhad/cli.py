@@ -107,6 +107,17 @@ def _load_target(target: str, verified: bool) -> AnyMatrix:
         raise _UsageError(f"{target}: {exc}") from None
 
 
+def _family_symbols(target: str, phases: Optional[str]) -> Optional[list[str]]:
+    """A family entry's phase symbols, sorted; None for any other target,
+    which takes no ``--phases``."""
+    if target in catalog.names() and catalog.kind(target) == "family":
+        _, r_name = catalog.family_components(target)
+        return sorted(catalog.build_verified(r_name).symbols())
+    if phases is not None:
+        raise _UsageError("--phases applies to family (D12*) entries only")
+    return None
+
+
 def _parse_phases(text: Optional[str], symbols: Sequence[str]) -> dict[str, float]:
     syms = sorted(symbols)
     if text is None:
@@ -169,14 +180,10 @@ def _cmd_build(args) -> int:
     name = args.name
     if name not in catalog.names():
         raise _UsageError(f"unknown catalog name {name!r}")
-    if catalog.kind(name) == "family":
-        _, r_name = catalog.family_components(name)
-        symbols = catalog.build_verified(r_name).symbols()
-        phases = _parse_phases(args.phases, sorted(symbols))
-        matrix: AnyMatrix = catalog.family_matrix(name, phases)
+    symbols = _family_symbols(name, args.phases)
+    if symbols is not None:
+        matrix: AnyMatrix = catalog.family_matrix(name, _parse_phases(args.phases, symbols))
     else:
-        if args.phases is not None:
-            raise _UsageError("--phases applies to family (D12*) entries only")
         matrix = catalog.build_verified(name) if args.verified else catalog.build(name)
     _write_out(emit_matrix(matrix), args.out)
     return 0
@@ -211,27 +218,19 @@ def _verify_auto(matrix: AnyMatrix, tol: float):
 
 def _cmd_verify(args) -> int:
     target = args.target
-    if target in catalog.names() and catalog.kind(target) == "family":
-        _, r_name = catalog.family_components(target)
-        symbols = sorted(catalog.build_verified(r_name).symbols())
+    symbols = _family_symbols(target, args.phases)
+    if symbols is not None:
         if args.phases is None and args.numeric:
-            rng = random.Random(args.seed)
-            phases = {s: rng.uniform(-3.2, 3.2) for s in symbols}
+            phases = catalog.random_phases(symbols, random.Random(args.seed))
         else:
             phases = _parse_phases(args.phases, symbols)
         matrix: AnyMatrix = catalog.family_matrix(target, phases, use_verified=args.verified)
     else:
-        if args.phases is not None:
-            raise _UsageError("--phases applies to family (D12*) entries only")
         matrix = _load_target(target, args.verified)
         if args.numeric and isinstance(matrix, SymbolicMatrix):
             # unimodular values keep the Hadamard target meaningful
-            rng = random.Random(args.seed)
-            assignment = {
-                s: cmath.exp(1j * rng.uniform(-3.2, 3.2))
-                for s in sorted(matrix.symbols())
-            }
-            matrix = eval_complex(matrix, assignment)
+            phases = catalog.random_phases(matrix.symbols(), random.Random(args.seed))
+            matrix = eval_complex(matrix, {s: cmath.exp(1j * p) for s, p in phases.items()})
     result = _verify_auto(matrix, args.tol)
     print(result.describe())
     return 0 if result else 1

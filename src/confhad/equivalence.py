@@ -3,47 +3,20 @@
 Two matrices are monomially equivalent when B = D1 P1 A P2 D2 for permutation
 matrices P and unit diagonal matrices D.  The quadruple-product multiset
 (``fingerprint``) is invariant under that action and separates most pairs
-cheaply; the rest go to a backtracking search that either produces a verified
-witness or exhausts the space.  Diagonals range over the matrices' own root
-order, so "inequivalent by exhausted search" is relative to that notion.
-``fingerprint`` is the one pass over a matrix's row pairs: it builds their
-difference histograms, the row keys and the quadruple counts for every
-caller, with or without zero cells.
-
-One search serves Hadamard and conference inputs.  It dephases B about one
-cell and A about every cell in turn, which removes the diagonals.  Each row
-has a key, the sorted nonzero counts of its pair vectors (``_pair_counts``),
-built in the pass that feeds the fingerprint; a search whose row-key
-multisets differ tries no anchor, and a row of A without the key of B's
-anchor row is never anchored.  The search skips every other anchor (no
-witness passes through it) where one of three quantities that row and
-column permutations keep differs from B's: the sorted rows, from the
-histograms of row differences; the sorted columns of the dephased matrix;
-and, on a +-1 target, the row-triple profile ``_triples``, whose unsigned
-form ends the whole row.  Then it matches rows.  The
-columns a B column may map to are held as cells (a set of B columns with the
-set of A columns they may take), which every matched row splits by value.  Two
-prunes refine rows and columns together, after McKay-Piperno ("Practical
-graph isomorphism II", 2014): every cell must split into equal parts on both
-sides, and the unmatched rows of both matrices must have equal multisets of
-value counts per cell.  B's rows are matched rarest profile first, the
-target-cell choice of the same paper: each depth takes the unmatched row
-whose shape and counts per cell the fewest unmatched rows share, so it
-branches over the fewest A rows.  Each prune is a necessary condition for
-any witness below a node under any fixed row order, so the order moves the
-node count and the witness found, not the status; every witness is verified
-and an exhausted search stays a proof.  B's row order and its side of every
-depth are built once per B and shared by all anchors, branches and searches
-against it.  A quadruple that touches a zero cell has no value; it gets the
-sentinel ``_ZERO``, and the cells it hides are checked by the witness at the
-leaf, where a failure backtracks.  Zero cells must form a permutation
-pattern (one per row and per column, such as the zero diagonal).  That makes
-the columns of each dephased matrix pairwise distinct by their sentinel
-cells alone, so once the rows are matched the column map is forced.
+cheaply; the rest go to one backtracking search for Hadamard and conference
+inputs, ``_search``, whose docstring is its full account.  It either
+produces a verified witness or exhausts the space.  Diagonals range over the
+matrices' own root order, so "inequivalent by exhausted search" is relative
+to that notion.  ``fingerprint`` is the one pass over a matrix's row pairs:
+it builds their difference histograms, the row keys and the quadruple
+counts for every caller, with or without zero cells.  Zero cells must form a
+permutation pattern (one per row and per column, such as the zero diagonal).
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd, lcm
@@ -90,19 +63,29 @@ def _quadruple_counts(M: ButsonMatrix, pairs: Mapping[tuple[int, ...], int]) -> 
     The pair (k, i) negates d, which leaves that autocorrelation unchanged,
     and pairs with equal vectors share one autocorrelation, weighted by
     their number: ``pairs`` maps each of M's ``_pair_hists`` to its count.
+
+    All autocorrelations are one exact integer sum: a vector packed one
+    count per item, times its reverse, holds at item k the linear
+    correlation at lag k - (m - 1), and the lags fold mod m.  An item sums
+    at most C(n, 2) * n^2 < n^4, so items of that many bits never carry.
     """
     n, m = M.n, M.m
-    counts: Counter[int] = Counter()
-    skipped = 0
+    code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= (n**4).bit_length())
+    size, order = array(code).itemsize, sys.byteorder
+    total = diagonal = skipped = 0
     for hist, w in pairs.items():
         s = sum(hist)
         skipped += 2 * w * (n * (n - 1) - s * (s - 1))
-        items = [(a, c) for a, c in enumerate(hist) if c]
-        for a, ca in items:
-            for b, cb in items:
-                counts[(a - b) % m] += 2 * w * ca * cb
-        counts[0] -= 2 * w * s
-    return {v: c for v, c in counts.items() if c}, skipped
+        diagonal += w * s
+        packed = array(code, hist)
+        forward = int.from_bytes(packed, order)
+        packed.reverse()
+        total += w * forward * int.from_bytes(packed, order)
+    counts = [0] * m
+    for k, c in enumerate(array(code, total.to_bytes((2 * m - 1) * size, order))):
+        counts[(k - m + 1) % m] += 2 * c
+    counts[0] -= 2 * diagonal
+    return {v: c for v, c in enumerate(counts) if c}, skipped
 
 
 def _pair_counts(M: ButsonMatrix) -> tuple[Counter[tuple[int, ...]], tuple[tuple, ...]]:
@@ -403,11 +386,12 @@ class _Level:
 
 class _Target:
     """B's side of the search, shared by every anchor, branch and search
-    against B: B dephased about (0, b0), and its depths, refined lazily.
-    Each depth fixes the B row matched there (row 0 at depth 0, then the
-    rarest by shape and profile), so the row order depends on B alone.
-    ``row_keys`` are B's keys from ``_pair_counts``, taken at B's own order
-    (a key does not change under a lift), sorted, and ``key`` is row 0's.
+    against B: B dephased about (0, b0), and all its depths, built here and
+    never changed after.  Each depth fixes the B row matched there (row 0 at
+    depth 0, then the rarest by shape and profile), so the row order depends
+    on B alone.  ``row_keys`` are B's keys from ``_pair_counts``, taken at
+    B's own order (a key does not change under a lift), sorted, and ``key``
+    is row 0's.
 
     Sets of columns are bitmasks.  A row's profile holds its count of each
     value in each cell, leaving out the last value of ``index`` (the counts
@@ -419,7 +403,7 @@ class _Target:
 
     __slots__ = (
         "B", "n", "row_keys", "key", "b0", "sigs", "row_shape", "col_shape", "triples", "unsigned", "index",
-        "counted", "width", "masks", "packed", "levels",
+        "counted", "width", "levels",
     )
 
     def __init__(self, B: ButsonMatrix, row_keys: Sequence[tuple]) -> None:
@@ -428,7 +412,7 @@ class _Target:
         self.row_keys, self.key = sorted(row_keys), row_keys[0]
         self.b0 = b0 = next((j for j, x in enumerate(B.logs[0]) if x is not None), 0)
         lb = _dephased(B, 0, b0)
-        self.sigs = _row_shapes(B, 0, b0, [_diff_hist(row, B.logs[0], B.m) for row in B.logs], {})
+        self.sigs = [tuple(sorted(x for x in row if x != _ZERO)) for row in lb]
         self.row_shape, self.col_shape = sorted(self.sigs), _col_shape(lb)
         values = {x for row in lb for x in row}
         two_valued = B.m % 2 == 0 and values <= {0, B.m // 2}  # +-1 after dephasing, no zero
@@ -437,9 +421,17 @@ class _Target:
         self.index = {x: k for k, x in enumerate(sorted(values))}
         self.counted = max(1, len(self.index) - 1)
         self.width = (n.bit_length() + 7) // 8
-        self.masks, self.packed = self.encode(lb)
+        masks, packed = self.encode(lb)
         self.levels = [_Level(0, ())]
-        self.levels.append(self._level((1 << b0, ((1 << n) - 1) ^ (1 << b0))))
+        cells = (1 << b0, ((1 << n) - 1) ^ (1 << b0))
+        free = list(range(1, n))  # ascending, so min() breaks ties to the lowest row
+        while free:
+            level = self._level(cells, free, masks, packed)
+            self.levels.append(level)
+            free.remove(level.row)
+            row = masks[level.row]
+            cells = tuple(cells[k] & row[x] for k, x, _ in level.split)
+        self.levels.append(_Level(-1, cells))
 
     def encode(self, M: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         """For a dephased matrix with B's values: per row, the mask of the
@@ -475,37 +467,25 @@ class _Target:
         size = self.counted * self.width
         return list(zip(*[on_cell[k::size] for on_cell in counts for k in range(size)]))
 
-    def _level(self, cells: tuple[int, ...]) -> _Level:
-        """The next depth, given its cells, with its row chosen by rarity
-        (see ``_search``)."""
-        if len(self.levels) == self.n:
-            return _Level(-1, cells)
-        taken = {level.row for level in self.levels}
-        free = [u for u in range(self.n) if u not in taken]
+    def _level(self, cells: tuple[int, ...], free: list[int], masks: list[list[int]], packed: list[int]) -> _Level:
+        """The depth with ``cells``, matching the row of ``free`` chosen by
+        rarity (see ``_search``); ``masks`` and ``packed`` are B's."""
         wide = tuple(k for k, cell in enumerate(cells) if cell & (cell - 1))
         row = free[0]
         if wide:
-            counts = [self.counts(self.packed, cells[k]) for k in wide]
+            counts = [self.counts(packed, cells[k]) for k in wide]
             profiles = self.profiles(counts)
             seen = Counter((self.sigs[u], profiles[u]) for u in free)
             row = min(free, key=lambda u: seen[self.sigs[u], profiles[u]])
         split = tuple(
             (k, x, (cell & mask).bit_count())
             for k, cell in enumerate(cells)
-            for x, mask in enumerate(self.masks[row])
+            for x, mask in enumerate(masks[row])
             if cell & mask
         )
         if not wide:
             return _Level(row, cells, split)
         return _Level(row, cells, split, wide, tuple(map(sorted, counts)), profiles[row], tuple(sorted(profiles)))
-
-    def level(self, i: int) -> _Level:
-        levels = self.levels
-        while len(levels) <= i:
-            last = levels[-1]
-            row = self.masks[last.row]
-            levels.append(self._level(tuple(last.cells[k] & row[x] for k, x, _ in last.split)))
-        return levels[i]
 
 
 class _Anchor:
@@ -530,7 +510,7 @@ class _Anchor:
     def extend(self, i: int, cells: list[int]) -> Optional[MonomialTransform]:
         """Map B's rows i.. given A's ``cells``, which pair with B's at depth i."""
         t = self.target
-        level = t.level(i)
+        level = t.levels[i]
         if i == t.n:
             tau = [0] * i
             for b_cell, a_cell in zip(level.cells, cells):
@@ -584,8 +564,8 @@ def _search(
     differ no anchor is tried, and a row r of A whose key is not that of B's
     row 0 is skipped before anything of it is built.
 
-    B is dephased about (0, b0) and A about (r, c).  A witness through that
-    anchor carries one dephased matrix onto the other by a row and a column
+    B is dephased about (0, b0) and A about (r, c), which removes the
+    diagonals.  A witness through that anchor carries one dephased matrix onto the other by a row and a column
     permutation, sentinels included, so an anchor is skipped before it costs
     a node where a quantity those permutations keep differs from B's.  The
     rows are compared first and without dephasing: when the loop reaches row
@@ -609,7 +589,9 @@ def _search(
     The columns are held as cells: a set of B's columns paired with the set
     of A's columns they may map to, first {b0} -> {c} and the rest -> the
     rest.  Mapping B's row i onto A's row u splits every cell by value, and
-    two prunes cut the subtrees that hold no witness:
+    two prunes, which refine rows and columns together after McKay-Piperno
+    ("Practical graph isomorphism II", 2014), cut the subtrees that hold no
+    witness:
 
     (a) every cell must split into parts of equal size on both sides, since
         the column map is a bijection of each cell that keeps values;
@@ -621,14 +603,21 @@ def _search(
 
     B's row at each depth is the unmatched one whose pair (shape, profile)
     the fewest unmatched B rows share, ties to the lowest index, so the
-    search branches over the smallest class of A rows; while no cell is
-    wide it is the lowest unmatched index.  Neither prune removes a witness
-    under any fixed row order, so the order changes the node count and the
-    witness found but never the status: every witness is verified at the
-    leaf, and an exhausted search is still a proof.  B's order and its side
-    of every depth depend on B alone and are built once in ``target``.  At
-    the leaf the k-th column of each B cell maps to the k-th of its A cell.
-    Values that touch a zero are checked only by the witness there.
+    search branches over the smallest class of A rows (the target-cell
+    choice of the same paper); while no cell is wide it is the lowest
+    unmatched index.  Neither prune removes a witness under any fixed row
+    order, so the order changes the node count and the witness found but
+    never the status: every witness is verified at the leaf, and an
+    exhausted search is still a proof.  B's order and its side of every
+    depth depend on B alone and are built once in ``target``.
+
+    A value that touches a zero cell is the sentinel ``_ZERO``.  Zero cells
+    form a permutation pattern, so the columns of each dephased matrix are
+    pairwise distinct by their sentinel cells alone: once the rows are
+    matched the column map is forced, and at the leaf the k-th column of
+    each B cell maps to the k-th of its A cell.  The cells the sentinels
+    hide are checked only by the witness there, and a failing witness
+    backtracks.
     """
     if sorted(row_keys) != target.row_keys:
         return None
@@ -779,10 +768,9 @@ def specialize_and_classify(
     whose key matches an earlier point of a class not flagged ``undecided``,
     by a witness that verifies, joins that class.
 
-    Any other point is fingerprinted, bucketed by fingerprint and searched
-    against each class representative in its bucket, whose row keys ride on
-    its fingerprint and whose search side is built once.  A search between
-    points whose row-key multisets differ ends before its first anchor.  A
+    Any other point is fingerprinted and searched (``_search``) against
+    each class representative with its fingerprint; a representative's
+    search side is built once and serves every later search against it.  A
     search may spend ``budget`` nodes; a point that no search placed and at
     least one left undecided joins a class flagged ``undecided`` whose form
     (recorded apart) certifies it, or else opens a fresh class so flagged,

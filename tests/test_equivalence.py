@@ -10,6 +10,7 @@ from confhad.equivalence import (
     EquivalenceClass,
     MonomialTransform,
     _pair_counts,
+    _Target,
     _search_verdict,
     are_equivalent,
     conference_fingerprint,
@@ -432,6 +433,37 @@ class TestSearchVerdict:
                 if verdict.equivalent:
                     assert verdict.witness.maps(la, lb) and verdict.witness.maps(a, b)
             assert base.status != "unknown"
+
+
+class TestTarget:
+    """B's side of the search is built whole when the target is, and no
+    search against it changes it."""
+
+    @staticmethod
+    def snapshot(t):
+        return [(level.row, level.cells, level.split) for level in t.levels]
+
+    @pytest.mark.parametrize("name", ["H12a", "paley28", "o12d-twin"])
+    def test_searches_leave_the_target_unchanged(self, name):
+        rng = random.Random(2903)
+        if name == "o12d-twin":
+            inequivalent, B = o12d_twin_points()  # its search walks depths
+        else:
+            B = butson(name) if name == "H12a" else to_butson(double_orthogonal(paley_core(13)))
+            # its keys differ from B's, so this search ends before an anchor
+            inequivalent = ButsonMatrix(B.m, [[rng.randrange(B.m) for _ in range(B.n)] for _ in range(B.n)])
+        keys = _pair_counts(B)[1]
+        t = _Target(B, keys)
+        before = self.snapshot(t)
+        assert len(before) == B.n + 1 and before[-1][0] == -1
+        image = random_transform(B.n, B.m, rng).apply(B)
+        runs = [(image, 10**6, "equivalent"), (inequivalent, 10**6, "inequivalent"), (image, 1, "unknown")]
+        targets = {B.m: t}
+        for A, budget, status in runs:
+            verdict = _search_verdict(A, _pair_counts(A)[1], B, keys, budget, targets)
+            assert verdict.status == status and targets == {B.m: t}
+            assert self.snapshot(t) == before
+        assert before == self.snapshot(_Target(B, keys))
 
 
 class TestSpecializeAndClassify:

@@ -161,6 +161,18 @@ def test_kernel_matches_old_loop_on_scattered_zeros():
             assert_kernel_agrees(ButsonMatrix(m, logs))
 
 
+def test_kernel_matches_old_loop_at_large_orders():
+    # far more values than cells: the lags of the packed product fold mod m
+    rng = random.Random(1021)
+    for m in (97, 1021):
+        for n in (1, 2, 5, 9):
+            logs = [[rng.randrange(m) for _ in range(n)] for _ in range(n)]
+            assert not assert_kernel_agrees(ButsonMatrix(m, logs))
+            for i, j in enumerate(rng.sample(range(n), n)):  # a permutation pattern of zeros
+                logs[i][j] = None
+            assert assert_kernel_agrees(ButsonMatrix(m, logs)) == (n > 1)
+
+
 def test_zero_cell_in_a_histogram_shared_by_several_pairs():
     # row 0's zero gives the pairs (0, 1), (0, 2), (0, 3) one histogram of
     # three values, the only one short of n

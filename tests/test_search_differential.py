@@ -931,7 +931,7 @@ def test_match_order_is_the_reference_order():
     reordered = 0
     for B in targets:
         t = make_target(B)
-        order = [t.level(i).row for i in range(B.n)]
+        order = [t.levels[i].row for i in range(B.n)]
         assert order[0] == 0 and sorted(order) == list(range(B.n))
         assert order == rarest_first_order(B)
         reordered += order != list(range(B.n))
