@@ -1,9 +1,10 @@
 """Exact zero tests for sums of roots of unity.
 
-A sum sum_k counts[k] * zeta_m^k is reduced to integer coordinates in the
-power basis 1, z, ..., z^(phi-1) modulo the m-th cyclotomic polynomial; the
-sum is zero exactly when its reduced vector vanishes.  This is what makes
-conference/Hadamard checks exact rather than floating-point.
+The m-th cyclotomic polynomial Phi_m is monic, has integer coefficients and is
+the minimal polynomial of zeta_m over Q.  So sum_k counts[k] * zeta_m^k is zero
+exactly when Phi_m divides sum_k counts[k] * x^k in Z[x]; one exact division by
+a monic integer polynomial both builds Phi_m and decides the sum.  This is what
+makes conference/Hadamard checks exact rather than floating-point.
 """
 
 from __future__ import annotations
@@ -13,20 +14,18 @@ from math import gcd
 from typing import Iterable, Sequence
 
 
-def _poly_divexact(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    """Exact division of integer polynomials, denominator monic."""
-    num = list(num)
+def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (ascending), den monic."""
+    rem = list(num)
     dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + dd]
-        out[k] = c
+    terms = [(j, y) for j, y in enumerate(den[:dd]) if y]
+    quo = [0] * max(len(rem) - dd, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = rem[k + dd]
         if c:
-            for j, y in enumerate(den):
-                num[k + j] -= c * y
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
+            for j, y in terms:
+                rem[k + j] -= c * y
+    return quo, rem[:dd]
 
 
 @lru_cache(maxsize=None)
@@ -34,49 +33,18 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Ascending coefficients of the m-th cyclotomic polynomial (monic)."""
     if m < 1:
         raise ValueError("order must be positive")
-    if m == 1:
-        return (-1, 1)
     poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
-            poly = _poly_divexact(poly, cyclotomic_polynomial(d))
+            poly, rem = _divmod_monic(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("inexact polynomial division")
     return tuple(poly)
-
-
-@lru_cache(maxsize=None)
-def _tables(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """phi(m) and the reduced power-basis coordinates of zeta_m^k, k < m."""
-    phi_poly = cyclotomic_polynomial(m)
-    phi = len(phi_poly) - 1
-    # x^phi == -(phi_poly without its leading 1)
-    top = [-c for c in phi_poly[:phi]]
-    rows: list[tuple[int, ...]] = []
-    cur = [0] * phi
-    cur[0] = 1
-    for _ in range(m):
-        rows.append(tuple(cur))
-        lead = cur[phi - 1]
-        nxt = [0] * phi
-        for j in range(phi - 1):
-            nxt[j + 1] = cur[j]
-        if lead:
-            for j in range(phi):
-                nxt[j] += lead * top[j]
-        cur = nxt
-    return phi, tuple(rows)
 
 
 def root_sum_is_zero(counts: Sequence[int], m: int) -> bool:
     """Exact test for sum_k counts[k] * zeta_m^k == 0."""
-    phi, rows = _tables(m)
-    acc = [0] * phi
-    for k, c in enumerate(counts):
-        if not c:
-            continue
-        row = rows[k]
-        for t in range(phi):
-            acc[t] += c * row[t]
-    return not any(acc)
+    return not any(_divmod_monic(counts, cyclotomic_polynomial(m))[1])
 
 
 def minimal_root_order(logs: Iterable[int], m: int) -> int:

@@ -389,9 +389,7 @@ class _Target:
     against B: B dephased about (0, b0), and all its depths, built here and
     never changed after.  Each depth fixes the B row matched there (row 0 at
     depth 0, then the rarest by shape and profile), so the row order depends
-    on B alone.  ``row_keys`` are B's keys from ``_pair_counts``, taken at
-    B's own order (a key does not change under a lift), sorted, and ``key``
-    is row 0's.
+    on B alone.
 
     Sets of columns are bitmasks.  A row's profile holds its count of each
     value in each cell, leaving out the last value of ``index`` (the counts
@@ -402,14 +400,13 @@ class _Target:
     """
 
     __slots__ = (
-        "B", "n", "row_keys", "key", "b0", "sigs", "row_shape", "col_shape", "triples", "unsigned", "index",
+        "B", "n", "b0", "sigs", "row_shape", "col_shape", "triples", "unsigned", "index",
         "counted", "width", "levels",
     )
 
-    def __init__(self, B: ButsonMatrix, row_keys: Sequence[tuple]) -> None:
+    def __init__(self, B: ButsonMatrix) -> None:
         n = B.n
         self.B, self.n = B, n
-        self.row_keys, self.key = sorted(row_keys), row_keys[0]
         self.b0 = b0 = next((j for j, x in enumerate(B.logs[0]) if x is not None), 0)
         lb = _dephased(B, 0, b0)
         self.sigs = [tuple(sorted(x for x in row if x != _ZERO)) for row in lb]
@@ -555,14 +552,15 @@ class _Anchor:
 
 
 def _search(
-    A: ButsonMatrix, target: _Target, budget: _Budget, row_keys: Sequence[tuple]
+    A: ButsonMatrix, target: _Target, budget: _Budget, rows: Sequence[int]
 ) -> Optional[MonomialTransform]:
-    """Map B's row 0 onto each row r of A and its column b0 onto each column c.
+    """Map B's row 0 onto each row r in ``rows`` of A and its column b0 onto
+    each column c.
 
-    ``row_keys`` are A's keys from ``_pair_counts``.  A witness carries each
-    row of B onto a row of A with its key, so when the multisets of keys
-    differ no anchor is tried, and a row r of A whose key is not that of B's
-    row 0 is skipped before anything of it is built.
+    ``rows`` are the rows of A, ascending, whose key (``_pair_counts``) is
+    that of B's row 0: a witness carries each row of B onto a row of A with
+    its key, so no other row can take B's row 0 (``_search_verdict`` has
+    already ended a search whose key multisets differ).
 
     B is dephased about (0, b0) and A about (r, c), which removes the
     diagonals.  A witness through that anchor carries one dephased matrix onto the other by a row and a column
@@ -619,14 +617,10 @@ def _search(
     hide are checked only by the witness there, and a failing witness
     backtracks.
     """
-    if sorted(row_keys) != target.row_keys:
-        return None
     n, m, la = A.n, A.m, A.logs
     anchor_zero = target.B.logs[0][target.b0] is None
     full = (1 << n) - 1
-    for r in range(n):
-        if row_keys[r] != target.key:
-            continue
+    for r in rows:
         hists = [_diff_hist(row, la[r], m) for row in la]
         turned: dict = {}
         for c in range(n):
@@ -685,21 +679,26 @@ def _search_verdict(
     """Decide a against b (same size) by search alone.
 
     Zero cells, if any, must form permutation patterns.  ``a_keys`` and
-    ``b_keys`` are the matrices' row keys (``_pair_counts``); a search whose
-    key multisets differ ends before its first anchor, so the verdict is
+    ``b_keys`` are the matrices' row keys (``_pair_counts``).  A witness
+    carries each row onto a row with its key, so a pair whose key multisets
+    differ is inequivalent by an exhausted search of 0 nodes, settled before
+    any target is looked up or built.  Otherwise the verdict is
     "equivalent" with a witness verified on a and b, "inequivalent" by
     exhausted search, or "unknown".  It runs at lcm(a.m, b.m): a lift
     scales every log alike, unseen by a search that compares values only
     for equality and order, and leaves the keys alone.  ``targets`` keeps
     b's search side by that order for later calls against b.
     """
+    if sorted(a_keys) != sorted(b_keys):
+        return EquivalenceVerdict("inequivalent", None, "exhausted search", 0)
     m = lcm(a.m, b.m)
     target = targets.get(m)
     if target is None:
-        target = targets[m] = _Target(b.lift(m), b_keys)
+        target = targets[m] = _Target(b.lift(m))
+    rows = [r for r, key in enumerate(a_keys) if key == b_keys[0]]
     tracker = _Budget(budget)
     try:
-        witness = _search(a.lift(m), target, tracker, a_keys)
+        witness = _search(a.lift(m), target, tracker, rows)
     except _OutOfBudget:
         return EquivalenceVerdict("unknown", None, "budget exhausted", tracker.used)
     if witness is not None:

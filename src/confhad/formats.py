@@ -29,8 +29,8 @@ from .matrices import (
 )
 from .symbolic import entry_str, parse_entry, parse_float, parse_int
 
-# Largest root order a BH header may name: the exact checks build m rows of
-# phi(m) ints for order m, so time and memory grow as m^2.
+# Largest root order a BH header may name: the exact checks count each row
+# pair's roots in a vector of m ints, and build Phi_m from every Phi_d, d | m.
 MAX_BUTSON_ORDER = 1024
 
 

@@ -265,23 +265,26 @@ def oracle_row_keys(M):
 
 @pytest.mark.parametrize("name", ["O12d", "O12h"])
 def test_searches_with_differing_row_keys_try_no_anchor(name, monkeypatch):
-    """A search whose two matrices' row-key multisets differ ends at the key
-    comparison: it builds no row histogram and spends no node.  The classes
-    stay the search-only oracle's."""
+    """A pair whose two matrices' row-key multisets differ is settled by the
+    key comparison: inequivalent by an exhausted search of 0 nodes, with no
+    ``_Target`` built and no ``_search`` run.  The classes stay the
+    search-only oracle's."""
     matrix, points = sample(name, 4)
     want = oracle_summary(name, 4, DEFAULT_BUDGET)
-    search, diff_hist = equivalence._search, equivalence._diff_hist
-    built, parted = [], []
+    verdict_of, make_target, search = equivalence._search_verdict, equivalence._Target, equivalence._search
+    calls, parted = [], []
 
-    def watched(A, target, budget, row_keys):
-        before = len(built), budget.used
-        witness = search(A, target, budget, row_keys)
-        if oracle_row_keys(A) != oracle_row_keys(target.B):
-            parted.append(witness is None and (len(built), budget.used) == before)
-        return witness
+    def watched(a, a_keys, b, b_keys, budget, targets):
+        before = len(calls)
+        verdict = verdict_of(a, a_keys, b, b_keys, budget, targets)
+        if oracle_row_keys(a) != oracle_row_keys(b):
+            parted.append((verdict.status, verdict.reason, verdict.nodes, len(calls) - before))
+        return verdict
 
-    monkeypatch.setattr(equivalence, "_diff_hist", lambda *args: built.append(1) or diff_hist(*args))
-    monkeypatch.setattr(equivalence, "_search", watched)
+    monkeypatch.setattr(equivalence, "_Target", lambda *args: calls.append("target") or make_target(*args))
+    monkeypatch.setattr(equivalence, "_search", lambda *args: calls.append("search") or search(*args))
+    monkeypatch.setattr(equivalence, "_search_verdict", watched)
     got = summary(specialize_and_classify(matrix, points, 4))
-    assert parted and all(parted)
+    assert parted and set(parted) == {("inequivalent", "exhausted search", 0, 0)}
+    assert "search" in calls  # the other pairs still search
     assert got == want

@@ -11,7 +11,7 @@ import pytest
 import confhad
 from confhad import catalog, cli
 from confhad.cli import main
-from confhad.cyclotomic import _tables
+from confhad.cyclotomic import cyclotomic_polynomial
 from confhad.equivalence import DEFAULT_BUDGET
 from confhad.formats import MAX_BUTSON_ORDER, emit_matrix, parse_butson, parse_matrix, parse_numeric
 
@@ -405,10 +405,10 @@ def test_search_above_the_cap_is_a_usage_error(capsys):
 def test_bh_order_above_the_cap_is_a_usage_error(capsys, tmp_path):
     too_big = tmp_path / "big.bh"
     too_big.write_text(f"BH 2 {MAX_BUTSON_ORDER + 1}\n0 0\n0 1\n")
-    cached = _tables.cache_info().currsize
+    cached = cyclotomic_polynomial.cache_info().currsize
     code, out, err = run(capsys, "verify", str(too_big))
     assert (code, out) == (64, "") and "above" in err
-    assert _tables.cache_info().currsize == cached  # rejected before any table is built
+    assert cyclotomic_polynomial.cache_info().currsize == cached  # rejected before any polynomial is built
 
 
 def test_file_errors_are_usage_errors(capsys, tmp_path):

@@ -1,5 +1,7 @@
 import cmath
+from functools import lru_cache
 import random
+import tracemalloc
 
 import pytest
 
@@ -92,3 +94,98 @@ def test_equality_agrees_with_floats():
             assert exact == floats, (m, counts)
             seen.add(exact)
     assert seen == {True, False}
+
+
+# The zero test as it was before one division did it: Phi_m by exact
+# division, then an m x phi(m) table of the power-basis coordinates of
+# zeta_m^k, summed with the counts.
+
+
+def old_divexact(num, den):
+    num = list(num)
+    dd = len(den) - 1
+    out = [0] * (len(num) - dd)
+    for k in range(len(out) - 1, -1, -1):
+        c = out[k] = num[k + dd]
+        if c:
+            for j, y in enumerate(den):
+                num[k + j] -= c * y
+    assert not any(num)
+    return out
+
+
+@lru_cache(maxsize=None)
+def old_cyclotomic_polynomial(m):
+    if m == 1:
+        return (-1, 1)
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = old_divexact(poly, old_cyclotomic_polynomial(d))
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def old_tables(m):
+    phi_poly = old_cyclotomic_polynomial(m)
+    phi = len(phi_poly) - 1
+    top = [-c for c in phi_poly[:phi]]
+    rows, cur = [], [1] + [0] * (phi - 1)
+    for _ in range(m):
+        rows.append(tuple(cur))
+        lead = cur[phi - 1]
+        cur = [0] + cur[: phi - 1]
+        if lead:
+            cur = [x + lead * y for x, y in zip(cur, top)]
+    return phi, rows
+
+
+def old_root_sum_is_zero(counts, m):
+    phi, rows = old_tables(m)
+    acc = [0] * phi
+    for k, c in enumerate(counts):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, rows[k])]
+    return not any(acc)
+
+
+def test_one_division_matches_the_table_of_powers():
+    rng = random.Random(4099)
+    for m in range(1, 129):
+        assert cyclotomic_polynomial(m) == old_cyclotomic_polynomial(m)
+        # zeta^r times the sum of the d-th roots vanishes for each divisor d > 1
+        cosets = [
+            [int(k % (m // d) == r) for k in range(m)]
+            for d in range(2, m + 1)
+            if m % d == 0
+            for r in range(m // d)
+        ]
+        seen = set()
+        for _ in range(40):
+            counts = [0] * m
+            for coset in rng.sample(cosets, min(len(cosets), rng.randint(0, 4))):
+                scale = rng.choice((-2, -1, 1, 2))
+                counts = [c + scale * x for c, x in zip(counts, coset)]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                counts[rng.randrange(m)] += rng.choice((-1, 1))
+            want = old_root_sum_is_zero(counts, m)
+            assert root_sum_is_zero(counts, m) == want, (m, counts)
+            while counts and not counts[-1]:  # shorter than phi(m) is allowed too
+                counts.pop()
+            assert root_sum_is_zero(counts, m) == want
+            seen.add(want)
+        if len(cosets) > 1:  # m composite
+            assert seen == {True, False}, m
+
+
+def test_zero_test_at_a_high_order_keeps_little_memory():
+    cyclotomic_polynomial.cache_clear()
+    counts = [1] * 1021
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert root_sum_is_zero(counts, 1021)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20

@@ -453,7 +453,7 @@ class TestTarget:
             # its keys differ from B's, so this search ends before an anchor
             inequivalent = ButsonMatrix(B.m, [[rng.randrange(B.m) for _ in range(B.n)] for _ in range(B.n)])
         keys = _pair_counts(B)[1]
-        t = _Target(B, keys)
+        t = _Target(B)
         before = self.snapshot(t)
         assert len(before) == B.n + 1 and before[-1][0] == -1
         image = random_transform(B.n, B.m, rng).apply(B)
@@ -463,7 +463,7 @@ class TestTarget:
             verdict = _search_verdict(A, _pair_counts(A)[1], B, keys, budget, targets)
             assert verdict.status == status and targets == {B.m: t}
             assert self.snapshot(t) == before
-        assert before == self.snapshot(_Target(B, keys))
+        assert before == self.snapshot(_Target(B))
 
 
 class TestSpecializeAndClassify:

@@ -688,13 +688,19 @@ def index_order_search(A, B, budget):
 
 
 def make_target(B):
-    """``_Target`` of B with B's row keys, as ``_search_verdict`` builds it."""
-    return _Target(B, _pair_counts(B)[1])
+    """``_Target`` of B, as ``_search_verdict`` builds it."""
+    return _Target(B)
 
 
 def current_search(A, B, budget, target=None):
-    """``_search`` of A against B (or against ``target``) with A's row keys."""
-    return _search(A, make_target(B) if target is None else target, budget, _pair_counts(A)[1])
+    """``_search`` of A against B (or against ``target``) as
+    ``_search_verdict`` runs it: no anchor when the row-key multisets
+    differ, else the rows of A with the key of B's row 0."""
+    a_keys, b_keys = _pair_counts(A)[1], _pair_counts(B)[1]
+    if sorted(a_keys) != sorted(b_keys):
+        return None
+    rows = [r for r, key in enumerate(a_keys) if key == b_keys[0]]
+    return _search(A, make_target(B) if target is None else target, budget, rows)
 
 
 def witness_key(witness):
@@ -945,8 +951,8 @@ def screened_anchors(A, B):
     Also counts the anchors only the column test rejects, those only the
     profile does, and those only the keys do."""
     target = make_target(B)
-    keys = _pair_counts(A)[1]
-    keyed = sorted(keys) == target.row_keys
+    keys, b_keys = _pair_counts(A)[1], _pair_counts(B)[1]
+    keyed = sorted(keys) == sorted(b_keys)
     anchor_zero = B.logs[0][target.b0] is None
     kept, by_columns, by_triples, by_keys = [], 0, 0, 0
     for r in range(A.n):
@@ -964,7 +970,7 @@ def screened_anchors(A, B):
             if target.triples is not None and _triples(G, A.m // 2) != target.triples:
                 by_triples += 1
                 continue
-            if not keyed or keys[r] != target.key:
+            if not keyed or keys[r] != b_keys[0]:
                 by_keys += 1
                 continue
             kept.append((r, c))
