@@ -265,9 +265,10 @@ def _cmd_search(args) -> int:
     else:
         search = search_mod.search_circulant
     try:
-        rows = search(args.n, args.roots)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        rows = search(args.n, args.roots, args.budget)
+    except search_mod.SearchBudgetExhausted as exc:
+        print(f"confhad: {exc}", file=sys.stderr)
+        return 3
     if args.reduce:
         rows = search_mod.symmetry_reduce(rows, args.roots)
     for row in rows:
@@ -362,6 +363,12 @@ def _parser() -> _Parser:
     p.add_argument("--roots", type=_integer, required=True)
     p.add_argument("--bordered", action="store_true")
     p.add_argument("--reduce", action="store_true")
+    p.add_argument(
+        "--budget",
+        type=_node_budget,
+        default=DEFAULT_BUDGET,
+        help="cell values the depth-first search may try; when spent, exit 3 with no rows",
+    )
 
     p = sub.add_parser("reconcile", help="printed-vs-derived reports")
     p.add_argument("name", nargs="?")

@@ -1,102 +1,199 @@
 """Exhaustive search for circulant and bordered-circulant conference matrices.
 
-Candidates are first rows over m-th roots of unity (log form, ``None`` for the
-fixed leading zero).  Three exact steps cut the enumeration; 2 and 3 test
-root sums with ``verify._vanishes`` on count vectors over the m-th roots:
+A first row is written in log form over the m-th roots of unity, ``None``
+for the fixed leading zero: (None, c1, ..., c_{k-1}).  Global scaling is a
+symmetry, so c1 = 0 is fixed and every row found is expanded back to its m
+scalings.  A depth-first search assigns c2, c3, ... in order.  The Gram
+identity of the matrix is:
 
-1. global scaling is a symmetry: c1 = 0 is fixed, and each surviving row is
-   expanded back to its m scalings;
-2. bordered only: the border row is orthogonal to the core rows exactly when
-   the core row's root sum vanishes;
-3. for each cyclic shift s = 1..k//2 of the length-k row, with an early exit
-   (shift k - s is the conjugate of shift s), the periodic autocorrelation is
-   0, or -1 for a bordered core, whose border column adds +1.
+1. for each cyclic shift s = 1..k//2 (shift k - s is the conjugate of shift
+   s) the periodic autocorrelation sum_j x_j conj(x_{j+s}) is 0, or -1 for a
+   bordered core, whose border column adds +1;
+2. bordered only: the core row sum is 0, since the border row is orthogonal
+   to every core row.
 
-2 and 3 are the Gram identity of the candidate, so they pass a row exactly
-when its matrix is conference; 3 alone implies 2, which is the cheaper
-reject.  Every row that passes is re-verified by ``check_conference``.
+Each sum is kept over the terms whose cells are both assigned; a term falls
+due when its later cell is.  Every open term is a root of unity, so a
+partial sum P that must end at the target t with r terms open has
+|P - t| <= r (triangle inequality), and a branch is cut when |P - t|^2 > r^2.
+When m divides 4 or 6 the sums are Gaussian or Eisenstein integers and the
+test is exact integer arithmetic: it never cuts a solution, and at a full
+row (r = 0) it is the identity itself.  For any other m no cut is made:
+every row is enumerated and tested when full by exact root-sum tests
+(``verify._vanishes``).  Every row found is re-verified by
+``check_conference``.
+
+The search spends one node of its budget per cell value it tries and holds
+O(k) state.  A spent budget raises ``SearchBudgetExhausted``, so a partial
+list is never returned as complete; a row longer than the budget can reach
+is refused before anything is allocated.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
+from .equivalence import DEFAULT_BUDGET
 from .matrices import ButsonMatrix, _bordered_grid, _circulant_grid
 from .verify import _vanishes, check_conference
 
 CoreRow = tuple[Optional[int], ...]
 
-# Largest candidate space (m^free rows) a search accepts.  With c1 fixed at
-# most 2^18 rows are screened, at 5-8 us each on a 2-CPU x86_64 VM, and only
-# the hits are re-verified: about 2 s at the cap.
-MAX_CANDIDATES = 10**6
+# zeta^c as (x, y): x + y*i when m | 4, x + y*w when m | 6, w = exp(2 pi i/3),
+# so that zeta_6 = 1 + w.  The norm is x^2 - cross*x*y + y^2.
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+_ZETA6_POWERS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
 
 
-def _shift_filter(k: int, m: int, bordered: bool) -> Callable[[CoreRow], bool]:
-    """The exact test, filters 2 and 3, of a length-k row (None first): True
-    exactly when the (bordered) circulant of the row is conference.  Verdicts
-    are memoised per count vector for the life of the returned test."""
-    verdicts: dict[tuple[int, ...], bool] = {}
-    border = (0,) if bordered else ()
-    zeros = (0,) * k
-
-    def counts(row: CoreRow, head: CoreRow) -> tuple[int, ...]:
-        # k * m steps, so a search takes at most about k^2 * MAX_CANDIDATES of them
-        diffs = [(a - b) % m for a, b in zip(row, head) if a is not None and b is not None]
-        return tuple(map(diffs.count, range(m)))
-
-    def passes(row: CoreRow) -> bool:
-        if bordered and not _vanishes(counts(row, zeros), m, verdicts):
-            return False
-        first = border + row
-        return all(
-            _vanishes(counts(first, border + row[s:] + row[:s]), m, verdicts)
-            for s in range(1, k // 2 + 1)
-        )
-
-    return passes
+class SearchBudgetExhausted(Exception):
+    """The search spent its node budget: the answer is unknown."""
 
 
-def _search(n: int, m: int, bordered: bool) -> list[CoreRow]:
-    """Rows (None, c1..c_free) whose (bordered) circulant is conference, sorted.
+class _Partials:
+    """The partial sums of a row prefix and the cut on them.
 
-    Refuses more than MAX_CANDIDATES candidates before enumerating any.  The
-    size is multiplied only up to the cap, so a huge n costs nothing; order 1
-    counts as 2, because its one candidate is still an n-by-n matrix.
+    ``push(d, c)`` sets cell d to c (cells are set in order d = 1, 2, ...),
+    adds the terms that fall due and returns whether every bound still
+    holds; on False the sums are as before.  ``pop(d)`` takes cell d back
+    out.  For m dividing neither 4 nor 6 there is no sum and no cut.
     """
+
+    def __init__(self, k: int, m: int, bordered: bool) -> None:
+        if 4 % m == 0:
+            units, self.cross = _I_POWERS[:: 4 // m], 0
+        elif 6 % m == 0:
+            units, self.cross = _ZETA6_POWERS[:: 6 // m], 1
+        else:
+            units, self.cross = (), 0
+        self.xs = [x for x, _ in units]  # indexed by a log difference in (-m, m)
+        self.ys = [y for _, y in units]
+        self.k, self.half = k, k // 2 if units else 0
+        self.bordered = bordered and bool(units)
+        self.target = -1 if bordered else 0
+        self.row = [0] * k
+        self.px = [0] * (self.half + 1)  # px[s] + py[s]*(i or w): shift s's partial sum
+        self.py = [0] * (self.half + 1)
+        self.sx = self.sy = 0  # the bordered row sum
+
+    def push(self, d: int, c: int) -> bool:
+        self.row[d] = c
+        k, cross, xs, ys = self.k, self.cross, self.xs, self.ys
+        if self.bordered:
+            x, y, r = self.sx + xs[c], self.sy + ys[c], k - 1 - d
+            if x * x - cross * x * y + y * y > r * r:
+                return False
+        if not self._add(d, c, 1, self.half):
+            return False
+        if self.bordered:
+            self.sx, self.sy = x, y
+        return True
+
+    def pop(self, d: int) -> None:
+        c = self.row[d]
+        self._add(d, c, -1, self.half)
+        if self.bordered:
+            self.sx -= self.xs[c]
+            self.sy -= self.ys[c]
+
+    def _add(self, d: int, c: int, sign: int, last: int) -> bool:
+        """Add sign times cell d's due terms to shifts 1..last; when adding,
+        check each shift, and at the first bound that fails take cell d back
+        out of the shifts so far."""
+        k, row, xs, ys, px, py, cross, t = (
+            self.k, self.row, self.xs, self.ys, self.px, self.py, self.cross, self.target
+        )
+        for s in range(1, last + 1):
+            x, y, r = px[s], py[s], k - 2  # r: the terms of shift s still open
+            if d > s:  # the term x_{d-s} conj(x_d)
+                e = row[d - s] - c
+                x += sign * xs[e]
+                y += sign * ys[e]
+                r -= d - s
+            if d + s > k:  # the term x_d conj(x_{d+s-k}), wrapping round
+                e = c - row[d + s - k]
+                x += sign * xs[e]
+                y += sign * ys[e]
+                r -= d + s - k
+            px[s], py[s] = x, y
+            if sign > 0:
+                x -= t
+                if x * x - cross * x * y + y * y > r * r:
+                    self._add(d, c, -1, s)
+                    return False
+        return True
+
+
+def _search(n: int, m: int, bordered: bool, budget: int) -> list[CoreRow]:
+    """Rows (None, c1..c_{k-1}) whose (bordered) circulant is conference, sorted."""
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    free = n - 2 if bordered else n - 1
-    size = 1
-    for _ in range(free):
-        size *= max(m, 2)
-        if size > MAX_CANDIDATES:
-            raise ValueError(f"n={n}, m={m} is above the cap of {MAX_CANDIDATES} candidates")
+    k = n - 1 if bordered else n
+    if k - 2 > budget:  # no path from c2 to c_{k-1} fits in the budget
+        raise SearchBudgetExhausted(
+            f"unknown: a row of {k} cells needs more nodes than the budget of {budget}"
+        )
     matrix = bordered_matrix if bordered else circulant_matrix
-    passes = _shift_filter(free + 1, m, bordered)
-    lead, scalings = ((0,), m) if free else ((), 1)
+    if k == 1:  # no cell to assign
+        return [(None,)] if check_conference(matrix((None,), m)) else []
+    partials = _Partials(k, m, bordered)
     found: list[CoreRow] = []
-    for tail in product(range(m), repeat=free - len(lead)):
-        base: CoreRow = (None, *lead, *tail)
-        if passes(base):
-            for t in range(scalings):
-                row = _scaled(base, t, m)
-                if check_conference(matrix(row, m)):
-                    found.append(row)
+    if not partials.push(1, 0):
+        return found
+    exact, verdicts = partials.half > 0, {}  # with a cut, a full row that passed it is a hit
+    row, nodes, d, c = partials.row, 0, 2, 0
+    while d > 1:
+        if d == k and (exact or _root_sums_vanish(row, m, bordered, verdicts)):
+            # a full row that is a hit: expand it to its scalings, each re-verified
+            for t in range(m):
+                scaled = _scaled((None, *row[1:]), t, m)
+                if check_conference(matrix(scaled, m)):
+                    found.append(scaled)
+                elif t == 0:
+                    break  # no scaling of a non-conference row is conference
+        elif d < k and c < m:
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExhausted(f"unknown: the search spent its budget of {budget} nodes")
+            if partials.push(d, c):
+                d, c = d + 1, 0
+            else:
+                c += 1
+            continue
+        d -= 1  # a full row, or every value of cell d tried: back up to cell d - 1
+        if d > 1:
+            c = row[d] + 1
+            partials.pop(d)
     return sorted(found)  # every row starts with None, so tuples compare from c1
 
 
-def search_circulant(n: int, m: int) -> list[CoreRow]:
+def _root_sums_vanish(row: list[int], m: int, bordered: bool, verdicts: dict) -> bool:
+    """The Gram identity of a full row (row[0] unused) by exact root-sum
+    tests, memoised in ``verdicts``: the hit test where the search has no cut."""
+    k = len(row)
+    if bordered and not _vanishes(tuple(map(row[1:].count, range(m))), m, verdicts):
+        return False
+    for s in range(1, k // 2 + 1):
+        counts = [0] * m
+        counts[0] = int(bordered)  # the border column's 1
+        for j in range(1, k):
+            if j + s != k:
+                counts[(row[j] - row[(j + s) % k]) % m] += 1
+        if not _vanishes(tuple(counts), m, verdicts):
+            return False
+    return True
+
+
+def search_circulant(n: int, m: int, budget: int = DEFAULT_BUDGET) -> list[CoreRow]:
     """All first rows (0, c1..c_{n-1}), ci in m-th roots, giving a conference
-    circulant; exhaustive over m^(n-1) candidates, sorted."""
-    return _search(n, m, bordered=False)
+    circulant, sorted.  Raises SearchBudgetExhausted past ``budget`` nodes."""
+    return _search(n, m, False, budget)
 
 
-def search_bordered_circulant(n: int, m: int) -> list[CoreRow]:
+def search_bordered_circulant(n: int, m: int, budget: int = DEFAULT_BUDGET) -> list[CoreRow]:
     """All core rows (0, c1..c_{n-2}) whose bordered circulant is an n-by-n
-    conference matrix; exhaustive over m^(n-2) candidates, sorted."""
-    return _search(n, m, bordered=True)
+    conference matrix, sorted.  Raises SearchBudgetExhausted past ``budget``
+    nodes."""
+    return _search(n, m, True, budget)
 
 
 def bordered_matrix(core_row: Sequence[Optional[int]], m: int) -> ButsonMatrix:

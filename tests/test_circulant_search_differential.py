@@ -1,19 +1,20 @@
-"""The filtered circulant searches against the brute-force product loop they
-replaced, which checks every candidate row with the full conference predicate.
+"""The depth-first circulant searches against the brute-force product loop
+they replaced, which checks every candidate row with the full conference
+predicate.
 
-Cases are every (n, m, kind) with m <= 6 whose candidate space, counted as
-the search's cap counts it (m^free, order 1 as 2), has at most 8,192 rows:
-both catalog searches, n = 2 (a bordered row has no free cell, a circulant
-row one), m = 1, and odd m, where -1 is not an m-th root.  The search
-re-verifies every hit, so a filter that is too loose could not show in its
-output; the filter is therefore also compared with the oracle row by row.
+Cases are every (n, m, kind) with m <= 6 whose candidate space (m^free rows,
+order 1 counted as 2) has at most 8,192 rows: both catalog searches, n = 2
+(a bordered row has no free cell, a circulant row one), m = 1, odd m, where
+-1 is not an m-th root, and m = 5, where the search makes no cut.  The search
+re-verifies every hit, so a cut that is too loose could not show in its
+output; the cut is therefore also held to the oracle's hits prefix by prefix.
 """
 
 from functools import lru_cache
 from itertools import product
 
 from confhad.search import (
-    _shift_filter,
+    _Partials,
     bordered_matrix,
     circulant_matrix,
     search_bordered_circulant,
@@ -60,21 +61,18 @@ def test_search_matches_brute_force():
     assert wrong == []
 
 
-def test_filters_are_exact():
+def test_cut_keeps_every_hit():
+    # the cut is exact: every hit passes it at every depth of its own prefix,
+    # and for m | 4 or m | 6 a full row with c1 = 0 (the search's rows)
+    # passes it exactly when it is a hit
     for n, m, bordered in CASES:
+        k = n - 1 if bordered else n
         hits = set(brute_force(n, m, bordered))
-        passes = _shift_filter(n - 1 if bordered else n, m, bordered)
-        candidates = _candidates(n, m, bordered)
-        wrong = [row for row in candidates if passes(row) != (row in hits)]
-        assert wrong == [], (n, m, bordered)
-        # the rows with c1 = 0 that pass, expanded by scaling, are all the hits
-        expanded = {
-            tuple(None if c is None else (c + t) % m for c in row)
-            for row in candidates
-            if (len(row) == 1 or row[1] == 0) and passes(row)
-            for t in range(m)
-        }
-        assert expanded == hits, (n, m, bordered)
+        rows = [row for row in _candidates(n, m, bordered) if row[1:2] == (0,)] if 12 % m == 0 else []
+        for row in hits.union(rows):
+            partials = _Partials(k, m, bordered)
+            passes = all(partials.push(d, row[d]) for d in range(1, k))
+            assert passes == (row in hits), (n, m, bordered, row)
 
 
 def test_order_two_rows():

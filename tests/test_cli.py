@@ -3,6 +3,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -347,7 +348,7 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build", "C6a", "--frobnicate"])
     assert exc.value.code == 64
-    for command in (["equiv", "H12a", "H12b"], ["specialize", "O12a"]):
+    for command in (["equiv", "H12a", "H12b"], ["specialize", "O12a"], ["search", "--n", "6", "--roots", "4"]):
         for budget in ("-5", "0", "x"):  # a search needs at least one node
             with pytest.raises(SystemExit) as exc:
                 main([*command, "--budget", budget])
@@ -396,10 +397,14 @@ def test_non_finite_phases_are_usage_errors(capsys):
             assert (code, out) == (64, "") and "finite" in err
 
 
-def test_search_above_the_cap_is_a_usage_error(capsys):
-    for bordered in ([], ["--bordered"]):
+def test_search_past_its_budget_exits_3_with_no_rows(capsys):
+    code, out, err = run(capsys, "search", "--bordered", "--n", "14", "--roots", "4", "--budget", "1000")
+    assert (code, out) == (3, "") and err.startswith("confhad: unknown:")
+    for bordered in ([], ["--bordered"]):  # refused before a node is tried
+        t0 = time.monotonic()
         code, out, err = run(capsys, "search", "--n", "1000000000", "--roots", "4", *bordered)
-        assert (code, out) == (64, "") and "cap" in err
+        assert (code, out) == (3, "") and err.startswith("confhad: unknown:")
+        assert time.monotonic() - t0 < 1
 
 
 def test_bh_order_above_the_cap_is_a_usage_error(capsys, tmp_path):

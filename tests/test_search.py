@@ -1,13 +1,14 @@
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from confhad.matrices import to_butson
 from confhad import catalog
-from confhad import search as search_mod
 from confhad.search import (
-    MAX_CANDIDATES,
+    SearchBudgetExhausted,
     bordered_matrix,
     circulant_matrix,
     search_bordered_circulant,
@@ -144,15 +145,48 @@ def test_solution_classes_under_matrix_equivalence():
                 assert (x + w.row_logs[i] + w.col_logs[j] - y) % 4 == 0
 
 
-def test_candidate_space_is_capped(monkeypatch):
-    assert MAX_CANDIDATES == 10**6
-    for search in (search_circulant, search_bordered_circulant):
-        for m in (4, 1):  # order 1 has one candidate, but an n-by-n one
-            with pytest.raises(ValueError, match="cap"):
-                search(10**9, m)
-    monkeypatch.setattr(search_mod, "MAX_CANDIDATES", 4**4)
-    assert len(search_bordered_circulant(6, 4)) == 12  # exactly at the cap
-    search_circulant(5, 4)
-    for search, n in ((search_circulant, 6), (search_bordered_circulant, 7)):
-        with pytest.raises(ValueError, match="cap"):
-            search(n, 4)
+def paley_row(q):
+    """The Paley core of order q + 1 (q = 1 mod 4) as a search row, logs base -1."""
+    squares = {x * x % q for x in range(1, q)}
+    return (None, *(0 if x in squares else 1 for x in range(1, q)))
+
+
+def test_bordered_orders_14_and_18():
+    # (14,4) has 4^11 candidate rows, past the 10^6 the enumeration took
+    rows = search_bordered_circulant(14, 4)
+    assert len(rows) == 12 and all(check_conference(bordered_matrix(row, 4)) for row in rows)
+    # the real Paley core, and a complex orbit with its conjugate (logs 1 and 3 swapped)
+    paley13 = tuple(None if c is None else 2 * c for c in paley_row(13))  # logs base i
+    assert symmetry_reduce(rows, 4) == [
+        (None, 0, 1, 0, 2, 1, 1, 3, 3, 0, 2, 3, 2),
+        paley13,
+        (None, 0, 3, 0, 2, 3, 3, 1, 1, 0, 2, 1, 2),
+    ]
+    rows = search_bordered_circulant(14, 3)
+    assert len(rows) == 6 and all(check_conference(bordered_matrix(row, 3)) for row in rows)
+    paley17 = paley_row(17)
+    assert search_bordered_circulant(18, 2) == [paley17, tuple(None if c is None else 1 - c for c in paley17)]
+
+
+def test_search_budget():
+    nodes = 48  # the cell values the bordered (6,4) search tries
+    assert len(search_bordered_circulant(6, 4, nodes)) == 12
+    for search, n, budget in (
+        (search_bordered_circulant, 6, nodes - 1),
+        (search_bordered_circulant, 14, 1000),
+        (search_circulant, 6, 10),
+    ):
+        with pytest.raises(SearchBudgetExhausted, match="unknown"):
+            search(n, 4, budget)
+    # a row longer than the budget is refused before anything n-sized is built
+    tracemalloc.start()
+    try:
+        t0 = time.monotonic()
+        for search in (search_circulant, search_bordered_circulant):
+            for m in (4, 1):  # order 1 has one candidate row, but an n-by-n one
+                with pytest.raises(SearchBudgetExhausted, match="unknown"):
+                    search(10**9, m)
+        assert time.monotonic() - t0 < 1
+        assert tracemalloc.get_traced_memory()[1] < 10**5
+    finally:
+        tracemalloc.stop()
