@@ -67,7 +67,7 @@ def _integer(text: str) -> int:
 
 
 def _node_budget(text: str) -> int:
-    """argparse type of --budget: a positive search node count."""
+    """argparse type of --budget: a positive search budget."""
     try:
         budget = parse_int(text)
     except ValueError:
@@ -367,7 +367,8 @@ def _parser() -> _Parser:
         "--budget",
         type=_node_budget,
         default=DEFAULT_BUDGET,
-        help="cell values the depth-first search may try; when spent, exit 3 with no rows",
+        help="units the depth-first search may spend, k//2 + 1 per cell value tried "
+        "on a row of k cells; when spent, exit 3 with no rows",
     )
 
     p = sub.add_parser("reconcile", help="printed-vs-derived reports")

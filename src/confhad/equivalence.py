@@ -126,7 +126,11 @@ def fingerprint(M: ButsonMatrix) -> Fingerprint:
 
 
 def conference_fingerprint(M: ButsonMatrix) -> Fingerprint:
-    """``fingerprint``, under the name conference matrices were fingerprinted by."""
+    """``fingerprint``, under the name conference matrices were fingerprinted by.
+
+    A function, not an alias: ``bench/tracing.py`` binds both names and keys
+    its wrappers by function identity, so an alias would merge their metrics.
+    """
     return fingerprint(M)
 
 

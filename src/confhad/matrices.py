@@ -44,10 +44,6 @@ class SymbolicMatrix:
                     raise TypeError(f"bad cell {cell!r}")
         self.rows = grid
 
-    @classmethod
-    def from_strings(cls, rows: Iterable[Iterable[str]]) -> "SymbolicMatrix":
-        return cls([[parse_entry(c) for c in row] for row in rows])
-
     def __getitem__(self, i: int) -> tuple[Entry, ...]:
         return self.rows[i]
 
@@ -219,12 +215,6 @@ class ButsonMatrix:
         return ButsonMatrix(
             small,
             [[None if c is None else c // step for c in row] for row in self.logs],
-        )
-
-    def to_complex(self) -> "ComplexMatrix":
-        z = cmath.exp(2j * cmath.pi / self.m)
-        return ComplexMatrix(
-            [[0j if c is None else z**c for c in row] for row in self.logs]
         )
 
     def __repr__(self) -> str:

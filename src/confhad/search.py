@@ -21,12 +21,13 @@ test is exact integer arithmetic: it never cuts a solution, and at a full
 row (r = 0) it is the identity itself.  For any other m no cut is made:
 every row is enumerated and tested when full by exact root-sum tests
 (``verify._vanishes``).  Every row found is re-verified by
-``check_conference``.
+``check_conference``, and one that fails raises ``AssertionError``.
 
-The search spends one node of its budget per cell value it tries and holds
-O(k) state.  A spent budget raises ``SearchBudgetExhausted``, so a partial
-list is never returned as complete; a row longer than the budget can reach
-is refused before anything is allocated.
+The search charges its budget k//2 + 1 units per cell value it tries (one
+per sum it may update), so the budget bounds time; it holds O(k) state.  A
+spent budget raises ``SearchBudgetExhausted``, so a partial list is never
+returned as complete; a row whose one path from c2 to c_{k-1} costs more
+than the budget is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ _ZETA6_POWERS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
 
 
 class SearchBudgetExhausted(Exception):
-    """The search spent its node budget: the answer is unknown."""
+    """The search spent its budget: the answer is unknown."""
 
 
 class _Partials:
@@ -128,9 +129,10 @@ def _search(n: int, m: int, bordered: bool, budget: int) -> list[CoreRow]:
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
     k = n - 1 if bordered else n
-    if k - 2 > budget:  # no path from c2 to c_{k-1} fits in the budget
+    cost = k // 2 + 1  # the sums one node may update
+    if (k - 2) * cost > budget:  # no path from c2 to c_{k-1} fits in the budget
         raise SearchBudgetExhausted(
-            f"unknown: a row of {k} cells needs more nodes than the budget of {budget}"
+            f"unknown: a row of {k} cells needs more than the budget of {budget} units"
         )
     matrix = bordered_matrix if bordered else circulant_matrix
     if k == 1:  # no cell to assign
@@ -146,14 +148,13 @@ def _search(n: int, m: int, bordered: bool, budget: int) -> list[CoreRow]:
             # a full row that is a hit: expand it to its scalings, each re-verified
             for t in range(m):
                 scaled = _scaled((None, *row[1:]), t, m)
-                if check_conference(matrix(scaled, m)):
-                    found.append(scaled)
-                elif t == 0:
-                    break  # no scaling of a non-conference row is conference
+                if not check_conference(matrix(scaled, m)):
+                    raise AssertionError(f"search hit {scaled} is not conference (m = {m})")
+                found.append(scaled)
         elif d < k and c < m:
-            nodes += 1
+            nodes += cost
             if nodes > budget:
-                raise SearchBudgetExhausted(f"unknown: the search spent its budget of {budget} nodes")
+                raise SearchBudgetExhausted(f"unknown: the search spent its budget of {budget} units")
             if partials.push(d, c):
                 d, c = d + 1, 0
             else:
@@ -185,14 +186,14 @@ def _root_sums_vanish(row: list[int], m: int, bordered: bool, verdicts: dict) ->
 
 def search_circulant(n: int, m: int, budget: int = DEFAULT_BUDGET) -> list[CoreRow]:
     """All first rows (0, c1..c_{n-1}), ci in m-th roots, giving a conference
-    circulant, sorted.  Raises SearchBudgetExhausted past ``budget`` nodes."""
+    circulant, sorted.  Raises SearchBudgetExhausted past ``budget`` units."""
     return _search(n, m, False, budget)
 
 
 def search_bordered_circulant(n: int, m: int, budget: int = DEFAULT_BUDGET) -> list[CoreRow]:
     """All core rows (0, c1..c_{n-2}) whose bordered circulant is an n-by-n
     conference matrix, sorted.  Raises SearchBudgetExhausted past ``budget``
-    nodes."""
+    units."""
     return _search(n, m, True, budget)
 
 
@@ -209,31 +210,15 @@ def _scaled(row: CoreRow, t: int, m: int) -> CoreRow:
     return tuple(None if c is None else (c + t) % m for c in row)
 
 
-def _reversed_row(row: CoreRow) -> CoreRow:
-    k = len(row)
-    return tuple(row[(-i) % k] for i in range(k))
-
-
 def symmetry_reduce(rows: Iterable[CoreRow], m: int) -> list[CoreRow]:
     """One representative per orbit under global unit scaling and reversal.
 
     Both generators preserve the conference property of the (bordered)
-    circulant; the representative is the orbit's lexicographic minimum (None
-    sorting first).
+    circulant.  The representative is the orbit's lexicographic minimum:
+    scaling reaches every c1 and keeps the leading None, so it is the smaller
+    of the row and its reversal, each scaled to c1 = 0.
     """
-
-    def key(row: CoreRow):
-        return tuple(-1 if c is None else c for c in row)
-
-    seen: set[CoreRow] = set()
-    reps: list[CoreRow] = []
-    for row in rows:
-        if row in seen:
-            continue
-        orbit = set()
-        for base in (row, _reversed_row(row)):
-            for t in range(m):
-                orbit.add(_scaled(base, t, m))
-        seen |= orbit
-        reps.append(min(orbit, key=key))
-    return sorted(reps, key=key)
+    # sum(b[1:2]) is c1, or 0 for the one-cell row (None,)
+    return sorted(
+        {min(_scaled(b, -sum(b[1:2]), m) for b in (row, row[:1] + row[:0:-1])) for row in rows}
+    )

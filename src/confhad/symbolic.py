@@ -137,8 +137,6 @@ def parse_entry(text: str) -> Entry:
     if parts[0] == "i":
         ipow += 1
         start = 1
-        if len(parts) == 1:
-            raise ValueError(f"dangling 'i*' in {text!r}")
     exps = []
     for part in parts[start:]:
         if not part:

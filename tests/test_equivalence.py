@@ -18,7 +18,7 @@ from confhad.equivalence import (
     specialize_and_classify,
 )
 from confhad.matrices import ButsonMatrix, bordered_circulant, double_orthogonal, eval_exact, to_butson
-from confhad.symbolic import ONE
+from confhad.symbolic import ONE, parse_entry
 from confhad.verify import check_conference, check_hadamard
 
 
@@ -522,7 +522,7 @@ class TestSpecializeAndClassify:
             ([["1", "1"], ["1", "1"]], r"fail at \(0,1\): 2 \[off-diagonal sum != 0\]"),
             ([["1", "1"], ["1", "0"]], r"fail at \(1,1\): zero cell \[not unimodular\]"),
         ):
-            bad = SymbolicMatrix.from_strings(rows)
+            bad = SymbolicMatrix([[parse_entry(c) for c in row] for row in rows])
             with pytest.raises(ValueError, match=f"^matrix is not inverse orthogonal: {reason}$"):
                 specialize_and_classify(bad, [{}], order=2)
 

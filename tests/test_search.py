@@ -1,3 +1,4 @@
+import cmath
 import random
 import time
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from confhad.matrices import to_butson
+from confhad.matrices import ComplexMatrix, to_butson
 from confhad import catalog
 from confhad.search import (
     SearchBudgetExhausted,
@@ -15,11 +16,18 @@ from confhad.search import (
     search_circulant,
     symmetry_reduce,
 )
+from confhad.equivalence import DEFAULT_BUDGET
 from confhad.verify import check_conference
 
 PALEY = (None, 0, 1, 1, 0)  # (0, 1, -1, -1, 1) in log form, m = 2
 SKEW_F = (None, 0, 1, 3, 2)  # (0, 1, i, -i, -1), m = 4
 SKEW_G = (None, 0, 3, 1, 2)  # (0, 1, -i, i, -1), m = 4
+
+
+def to_complex(B):
+    """A Butson matrix's cells as floats: zeta_m^c is exp(2 pi i/m)^c."""
+    z = cmath.exp(2j * cmath.pi / B.m)
+    return ComplexMatrix([[0j if c is None else z**c for c in row] for row in B.logs])
 
 
 def test_bordered_6_2_contains_paley():
@@ -74,7 +82,7 @@ def test_determinism_and_exhaustive_soundness():
             continue
         M = bordered_matrix(row, 4)
         assert not check_conference(M)
-        arr = np.array(M.to_complex().rows)
+        arr = np.array(to_complex(M).rows)
         gram = arr @ arr.conj().T
         assert np.max(np.abs(gram - 5 * np.eye(6))) > 1e-9
         rejected_checked += 1
@@ -109,6 +117,60 @@ def test_symmetry_reduce_collapses_orbits():
 
 def test_symmetry_reduce_empty():
     assert symmetry_reduce([], 4) == []
+
+
+def orbit_oracle(rows, m):
+    """The orbit-enumerating reduction: each new row's 2m scalings of itself
+    and its reversal, with the orbit's lexicographic minimum (None first) kept."""
+
+    def key(row):
+        return tuple(-1 if c is None else c for c in row)
+
+    seen, reps = set(), []
+    for row in rows:
+        if row in seen:
+            continue
+        reversal = tuple(row[(-i) % len(row)] for i in range(len(row)))
+        orbit = {_scaled(base, t, m) for base in (row, reversal) for t in range(m)}
+        seen |= orbit
+        reps.append(min(orbit, key=key))
+    return sorted(reps, key=key)
+
+
+def _scaled(row, t, m):
+    return tuple(None if c is None else (c + t) % m for c in row)
+
+
+def test_symmetry_reduce_matches_the_orbit_oracle_on_seeded_rows():
+    rng = random.Random(2711)
+    for m in range(1, 7):
+        for k in range(1, 9):
+            rows = [(None, *(rng.randrange(m) for _ in range(k - 1))) for _ in range(10)]
+            # partial orbits: scalings of a few rows and of their reversals
+            for row in rng.sample(rows, 4):
+                base = rng.choice((row, row[:1] + row[:0:-1]))
+                rows.append(_scaled(base, rng.randrange(m), m))
+            rows += rng.sample(rows, 4)  # duplicates
+            rng.shuffle(rows)
+            assert symmetry_reduce(rows, m) == orbit_oracle(rows, m), (m, k, rows)
+
+
+def test_symmetry_reduce_matches_the_orbit_oracle_on_search_results():
+    from test_circulant_search_differential import CASES
+
+    for n, m, bordered in CASES + [(14, 4, True), (14, 3, True), (18, 2, True)]:
+        rows = (search_bordered_circulant if bordered else search_circulant)(n, m)
+        assert symmetry_reduce(rows, m) == orbit_oracle(rows, m), (n, m, bordered)
+
+
+def test_a_hit_that_fails_reverification_raises(monkeypatch):
+    # m = 5 has no cut, so the root-sum test alone decides the hits; one that
+    # accepts every full row must not lose the rows check_conference rejects
+    from confhad import search
+
+    monkeypatch.setattr(search, "_root_sums_vanish", lambda *args: True)
+    with pytest.raises(AssertionError, match="not conference"):
+        search_circulant(4, 5)
 
 
 def test_solution_classes_under_matrix_equivalence():
@@ -169,16 +231,17 @@ def test_bordered_orders_14_and_18():
 
 
 def test_search_budget():
-    nodes = 48  # the cell values the bordered (6,4) search tries
-    assert len(search_bordered_circulant(6, 4, nodes)) == 12
+    units = 48 * 3  # the 48 cell values the bordered (6,4) search tries, k//2 + 1 = 3 each
+    assert len(search_bordered_circulant(6, 4, units)) == 12
     for search, n, budget in (
-        (search_bordered_circulant, 6, nodes - 1),
+        (search_bordered_circulant, 6, units - 1),
         (search_bordered_circulant, 14, 1000),
-        (search_circulant, 6, 10),
+        (search_circulant, 6, 20),
     ):
-        with pytest.raises(SearchBudgetExhausted, match="unknown"):
+        with pytest.raises(SearchBudgetExhausted, match="^unknown: the search spent its budget"):
             search(n, 4, budget)
-    # a row longer than the budget is refused before anything n-sized is built
+    # a row whose one path costs more than the budget is refused before
+    # anything n-sized is built
     tracemalloc.start()
     try:
         t0 = time.monotonic()
@@ -186,6 +249,11 @@ def test_search_budget():
             for m in (4, 1):  # order 1 has one candidate row, but an n-by-n one
                 with pytest.raises(SearchBudgetExhausted, match="unknown"):
                     search(10**9, m)
+        # the path from c2 to c_{k-1} costs (k - 2)(k//2 + 1): 128,007,999 units
+        # at n = 16001, past the default budget, and 8,001,999 at n = 4001
+        for n, budget in ((16001, DEFAULT_BUDGET), (4001, 10**6)):
+            with pytest.raises(SearchBudgetExhausted, match=f"a row of {n} cells"):
+                search_circulant(n, 1, budget)
         assert time.monotonic() - t0 < 1
         assert tracemalloc.get_traced_memory()[1] < 10**5
     finally:

@@ -122,6 +122,10 @@ class TestParsing:
         entry = parse_entry(text)
         assert parse_entry(entry_str(entry)) == entry
 
+    @pytest.mark.parametrize("text,ipow", [("i*1", 1), ("-i*1", 3)])
+    def test_unit_factor_after_i(self, text, ipow):
+        assert parse_entry(text) == Monomial(ipow)
+
     def test_canonical_emit_sorts_symbols(self):
         assert entry_str(parse_entry("c*a^-1*b")) == "a^-1*b*c"
 
