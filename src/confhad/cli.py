@@ -2,9 +2,9 @@
 
 Exit codes: 0 success/pass, 1 verification failure, 2 inequivalent,
 3 unknown/budget exhausted, 64 usage error, 74 standard output closed or
-full (EX_IOERR; one line on stderr).  All commands are deterministic:
-identical inputs produce byte-identical output (randomized checks take a
---seed with a fixed default).
+full, or a packaged data file unreadable (EX_IOERR; one line on stderr).
+All commands are deterministic: identical inputs produce byte-identical
+output (randomized checks take a --seed with a fixed default).
 """
 
 from __future__ import annotations
@@ -408,7 +408,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"confhad: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except OSError as exc:  # handlers turn file errors into _UsageError: this is stdout
+    except OSError as exc:  # handlers turn the user's file errors into _UsageError
+        if exc.filename is not None:  # a packaged data file; stdout is fine
+            reason = exc.strerror or exc
+            print(f"confhad: error: cannot read {exc.filename}: {reason}", file=sys.stderr)
+            return OUTPUT_ERROR
         print(f"confhad: error: cannot write output: {exc}", file=sys.stderr)
         _drop_stdout()
         return OUTPUT_ERROR

@@ -25,9 +25,10 @@ from .matrices import (
     ComplexMatrix,
     ExponentMatrix,
     SymbolicMatrix,
+    map_cells,
     parse_phase_cell,
 )
-from .symbolic import entry_str, parse_entry, parse_float, parse_int
+from .symbolic import parse_entry, parse_float, parse_int
 
 # Largest root order a BH header may name: the exact checks count each row
 # pair's roots in a vector of m ints, and build Phi_m from every Phi_d, d | m.
@@ -99,8 +100,7 @@ def parse_symbolic(text: str) -> SymbolicMatrix:
 
 
 def emit_symbolic(matrix: SymbolicMatrix) -> str:
-    cells = [[entry_str(c) for c in row] for row in matrix.rows]
-    return _emit_aligned(f"SYM {matrix.n}", cells)
+    return _emit_aligned(f"SYM {matrix.n}", map_cells(matrix, str, "0"))
 
 
 def parse_exponent(text: str) -> ExponentMatrix:

@@ -16,10 +16,10 @@ import cmath
 import re
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .cyclotomic import minimal_root_order
-from .symbolic import Entry, Monomial, ONE, parse_entry
+from .symbolic import Entry, ExpKey, Monomial, ONE, parse_entry
 
 
 def _square(grid: tuple[tuple, ...]) -> int:
@@ -350,20 +350,34 @@ def scale_columns(matrix: SymbolicMatrix, diag: Sequence[Entry]) -> SymbolicMatr
     )
 
 
+def map_cells(matrix: SymbolicMatrix, f: Callable[[Monomial], object], zero: object) -> list[list]:
+    """The grid of f(cell), ``zero`` for zero cells, with f called once per
+    distinct cell.  Cells are keyed by (ipow, exps): a tuple hashes and
+    compares in C, where a Monomial key would call Python methods."""
+    images: dict[tuple[int, ExpKey], object] = {}
+
+    def image(cell: Entry) -> object:
+        if cell is None:
+            return zero
+        key = (cell.ipow, cell.exps)
+        out = images.get(key)
+        if out is None:
+            out = images[key] = f(cell)
+        return out
+
+    return [[image(cell) for cell in row] for row in matrix.rows]
+
+
 def substitute(matrix: SymbolicMatrix, mapping: Mapping[str, Monomial | str]) -> SymbolicMatrix:
-    """Substitute unit monomials for symbols in every cell."""
+    """Substitute unit monomials for symbols in every cell, each distinct
+    cell once."""
     parsed: dict[str, Monomial] = {}
     for sym, val in mapping.items():
         mono = parse_entry(val) if isinstance(val, str) else val
         if mono is None:
             raise ValueError(f"cannot substitute zero for {sym!r}")
         parsed[sym] = mono
-    return SymbolicMatrix(
-        [
-            [None if cell is None else cell.substitute(parsed) for cell in row]
-            for row in matrix.rows
-        ]
-    )
+    return SymbolicMatrix(map_cells(matrix, lambda cell: cell.substitute(parsed), None))
 
 
 def dephase(matrix: SymbolicMatrix) -> SymbolicMatrix:

@@ -6,7 +6,9 @@ e.g. ``-i*c*a^-1``.  Cells parse from and print to the text cell grammar and
 evaluate in floating point; exact evaluation at roots of unity is
 ``matrices.eval_exact``.
 
-All values are immutable; operations return new objects.
+All values are immutable; operations return new objects.  The constructor
+validates, merges and sorts its factors; the arithmetic builds its results
+from operands that are already canonical, and does not validate again.
 """
 
 from __future__ import annotations
@@ -59,25 +61,41 @@ class Monomial:
         return cls(0, ((name, exp),))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.ipow + other.ipow, self.exps + other.exps)
+        exps = self.exps
+        if not exps:
+            exps = other.exps
+        elif other.exps:
+            merged = dict(exps)
+            for sym, e in other.exps:
+                merged[sym] = merged.get(sym, 0) + e
+            exps = tuple(sorted((s, e) for s, e in merged.items() if e))
+        return _canonical((self.ipow + other.ipow) % 4, exps)
 
     def __neg__(self) -> "Monomial":
-        return Monomial(self.ipow + 2, self.exps)
+        return _canonical((self.ipow + 2) % 4, self.exps)
 
     def reciprocal(self) -> "Monomial":
         """The monomial r with self * r == 1."""
-        return Monomial(-self.ipow, tuple((s, -e) for s, e in self.exps))
+        return _canonical(-self.ipow % 4, tuple((s, -e) for s, e in self.exps))
 
     def __pow__(self, n: int) -> "Monomial":
-        return Monomial(self.ipow * n, tuple((s, e * n) for s, e in self.exps))
+        if n == 0:
+            return ONE
+        return _canonical(self.ipow * n % 4, tuple((s, e * n) for s, e in self.exps))
 
     def substitute(self, mapping: Mapping[str, "Monomial"]) -> "Monomial":
         """Replace symbols by unit monomials; unmapped symbols stay formal."""
-        out = Monomial(self.ipow)
+        ipow = self.ipow
+        merged: dict[str, int] = {}
         for sym, e in self.exps:
             val = mapping.get(sym)
-            out = out * (Monomial.symbol(sym, e) if val is None else val**e)
-        return out
+            if val is None:
+                merged[sym] = merged.get(sym, 0) + e
+                continue
+            ipow += val.ipow * e
+            for s, k in val.exps:
+                merged[s] = merged.get(s, 0) + k * e
+        return _canonical(ipow % 4, tuple(sorted((s, e) for s, e in merged.items() if e)))
 
     def eval_complex(self, assignment: Mapping[str, complex]) -> complex:
         value = 1j**self.ipow
@@ -109,6 +127,16 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
+
+
+def _canonical(ipow: int, exps: ExpKey) -> Monomial:
+    """A Monomial from an i-power in 0..3 and a sorted vector of valid
+    symbols with nonzero exponents, taken as they are: the arithmetic above
+    keeps both canonical, so only parsed and public input is validated."""
+    mono = object.__new__(Monomial)
+    mono.ipow = ipow
+    mono.exps = exps
+    return mono
 
 
 ONE = Monomial(0)

@@ -10,10 +10,13 @@ values of the free parameters exactly when each parameter part's 4th-root
 counts cancel, c0 = c2 and c1 = c3; on the codes that is a multiset compare
 in integer arithmetic.  The Butson kernel counts a row pair's differences by
 popcounts of per-row value bitmasks and tests their sum over m-th roots exactly,
-modulo the cyclotomic polynomial.  The zero-free identities (inverse
-orthogonal, Butson Hadamard) fail on the first zero cell with one wording,
-``zero cell [not unimodular]``.  Floating checks are smoke tests only; a
-symbolic failure is authoritative even if sampled floats look fine.
+modulo the cyclotomic polynomial.  A symbolic matrix without symbols has
+codes that are logs base i, and goes through those counts at m = 4 with the
+symbolic kernel's witness.  The zero-free identities (inverse orthogonal,
+Butson Hadamard) fail on the first zero cell with one wording, ``zero cell
+[not unimodular]``.  Zero cells are found by identity: ``None in row`` would
+call ``Monomial.__eq__`` on every cell.  Floating checks are smoke tests
+only; a symbolic failure is authoritative even if sampled floats look fine.
 """
 
 from __future__ import annotations
@@ -86,19 +89,22 @@ def _laurent_str(row_i, row_j) -> str:
     return " + ".join(parts)
 
 
-def _cell_codes(rows) -> list[list[Optional[int]]]:
+def _cell_codes(rows) -> tuple[list[list[Optional[int]]], bool]:
     """Each nonzero cell x as the integer x.ipow + 8 * sum_s e_s * B^k(s),
     k(s) the rank of symbol s among the sorted symbols and B = 4E + 1 for E
     the largest |exponent| in ``rows``; zero cells stay None.  The exponents
     of a quotient of two cells are digits in [-2E, 2E], and a base-B number
     with digits in that range has one such representation, so the difference
-    of two packed parameter parts decodes to the quotient's exponent vector."""
+    of two packed parameter parts decodes to the quotient's exponent vector.
+    Also whether any cell has a symbol: when none has, the codes are the
+    cells' logs base i."""
     parts = {x.exps for row in rows for x in row if x is not None}
     base = 4 * max((abs(e) for exps in parts for _, e in exps), default=0) + 1
     symbols = sorted({s for exps in parts for s, _ in exps})
     place = {s: 8 * base**k for k, s in enumerate(symbols)}
     packed = {exps: sum([e * place[s] for s, e in exps]) for exps in parts}
-    return [[None if x is None else x.ipow + packed[x.exps] for x in row] for row in rows]
+    codes = [[None if x is None else x.ipow + packed[x.exps] for x in row] for row in rows]
+    return codes, bool(symbols)
 
 
 def _gram_symbolic(rows) -> VerificationResult:
@@ -116,9 +122,19 @@ def _gram_symbolic(rows) -> VerificationResult:
     witness is built from its Monomial quotients by ``_laurent_str``.  Pairs
     j < i need no check: the automorphism x -> 1/x, i -> -i carries the
     (i,j) sum onto the (j,i) sum, and a diagonal sum just counts ones.
+
+    A matrix without symbols has one parameter part, and its codes are logs
+    base i: its pairs are read from ``_pair_hists`` at m = 4 instead, as
+    counts c0..c3 of the quotients' i-powers.
     """
-    codes = _cell_codes(rows)
+    codes, symbolic = _cell_codes(rows)
     n = len(rows)
+    if not symbolic:
+        pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+        for (i, j), c in zip(pairs, _pair_hists(codes, 4)):
+            if c[0] != c[2] or c[1] != c[3]:
+                return _fail(i, j, _laurent_str(rows[i], rows[j]), "off-diagonal sum != 0")
+        return _ok()
     for i in range(n):
         row_i = [None if a is None else a + 4 for a in codes[i]]
         for j in range(i + 1, n):
@@ -192,8 +208,9 @@ def _gram_butson(logs, m: int) -> VerificationResult:
 def _nonzero(rows) -> VerificationResult:
     """A failure at the first zero cell, row by row; else a pass."""
     for i, row in enumerate(rows):
-        if None in row:
-            return _fail(i, row.index(None), "zero cell", "not unimodular")
+        for j, cell in enumerate(row):
+            if cell is None:
+                return _fail(i, j, "zero cell", "not unimodular")
     return _ok()
 
 
@@ -211,7 +228,7 @@ def check_conference(matrix: Union[SymbolicMatrix, ButsonMatrix]) -> Verificatio
     else:
         raise TypeError(f"cannot conference-check {type(matrix).__name__}")
     for i, row in enumerate(rows):
-        if row[i] is None and row.count(None) == 1:
+        if [j for j, cell in enumerate(row) if cell is None] == [i]:
             continue
         for j, cell in enumerate(row):
             if i == j and cell is not None:

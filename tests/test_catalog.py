@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -187,6 +188,28 @@ class TestReconcile:
                 assert any("printed equals derived under the substitution" in n for n in report.notes), name
             else:
                 assert report.first_diff is None, name
+
+    def test_equal_derived_forms_reuse_the_verified_result(self, monkeypatch):
+        # checking every derived form takes 84 predicate calls; the 14
+        # derived forms equal to their verified form entrywise take its result
+        calls = []
+        for name in ("check_conference", "check_hadamard", "check_inverse_orthogonal"):
+            check = getattr(catalog, name)
+            monkeypatch.setattr(catalog, name, lambda M, _check=check: calls.append(M) or _check(M))
+        reports = catalog.reconcile_all()
+        monkeypatch.undo()
+        assert len(calls) == 84 - 14
+        reused = [r for r in reports if r.derived is not None and r.first_diff is None]
+        assert len(reused) == 14
+        checker = {
+            "conference": check_conference,
+            "orthogonal": check_inverse_orthogonal,
+            "hadamard": lambda M: check_hadamard(to_butson(M)),
+        }
+        for report in reused:
+            fresh = checker[report.kind](catalog.derive(report.name))
+            assert fresh == report.derived, report.name
+            assert dataclasses.replace(report, derived=fresh).format() == report.format()
 
     def test_h12a_report(self):
         report = catalog.reconcile("H12a")

@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import shlex
@@ -586,3 +587,25 @@ def test_stdout_closed_after_the_first_line_exits_74(capsys, buffered):
     assert first.decode() == expected.splitlines(keepends=True)[0]
     _assert_output_error(code, err)
     assert "Broken pipe" in err
+
+
+def _clear_catalog_caches():
+    cached = (catalog._all_repairs, catalog._recipes, catalog.build, catalog.build_verified, catalog.derive)
+    for function in cached:
+        function.cache_clear()
+
+
+def test_unreadable_data_file_exits_74_and_names_the_file(capsys, monkeypatch):
+    def missing(filename):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), f"/pkg/data/{filename}")
+
+    monkeypatch.setattr(catalog, "_data_text", missing)
+    monkeypatch.setattr(cli, "_drop_stdout", lambda: pytest.fail("stdout was dropped"))
+    _clear_catalog_caches()
+    try:
+        code, out, err = run(capsys, "reconcile", "--all")
+    finally:
+        monkeypatch.undo()
+        _clear_catalog_caches()
+    assert code == cli.OUTPUT_ERROR == 74 and out == ""
+    assert err == "confhad: error: cannot read /pkg/data/repairs.txt: No such file or directory\n"

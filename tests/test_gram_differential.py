@@ -479,3 +479,41 @@ def test_symbolic_kernel_matches_old_loop_on_paley_doubles():
         i, j = rng.randrange(double.n), rng.randrange(double.n)
         broken[i][j] = -broken[i][j]
         assert assert_symbolic_agrees(SymbolicMatrix(broken))[-1] is not None
+
+
+def constant_matrices():
+    """Matrices without symbols, which the symbolic kernel reads through
+    ``_pair_hists`` at m = 4: Paley cores and doubles, and the printed H12s."""
+    out = {}
+    for q in (5, 13, 17, 29):
+        core = symbolic_paley_core(q)
+        out[f"core{q}"], out[f"double{q}"] = core, double_orthogonal(core)
+    for name in catalog.names():
+        if name.startswith("H12") and catalog.kind(name) == "hadamard":
+            out[name] = catalog.build(name)
+    return out
+
+
+def test_constant_matrices_take_the_pair_count_path_and_agree():
+    matrices = constant_matrices()
+    assert sorted(k for k in matrices if k.startswith("H12")) == [f"H12{c}" for c in "abcdefg"]
+    failing = set()
+    for name, matrix in matrices.items():
+        assert matrix.is_constant
+        if assert_symbolic_agrees(matrix)[-1] is not None:
+            failing.add(name)
+    assert failing == {"H12b", "H12d"}
+
+
+def test_constant_matrices_agree_under_one_cell_perturbations():
+    rng = random.Random(4096)
+    seen = set()
+    for matrix in constant_matrices().values():
+        for _ in range(3):
+            rows = [list(row) for row in matrix.rows]
+            i, j = rng.randrange(matrix.n), rng.randrange(matrix.n)
+            if rows[i][j] is not None:
+                rows[i][j] = rows[i][j] * Monomial(rng.randrange(1, 4))
+            seen.update(assert_symbolic_agrees(SymbolicMatrix(rows)))
+    details = [s[2] for s in seen if s is not None and s[3] == "off-diagonal sum != 0"]
+    assert None in seen and details and all("*" not in d for d in details)

@@ -133,3 +133,90 @@ class TestParsing:
     def test_rejects_garbage(self, text):
         with pytest.raises(ValueError):
             parse_entry(text)
+
+
+# The validating arithmetic the fast paths replaced: every result goes back
+# through the public constructor, which merges, drops zero exponents, sorts
+# and reduces the i-power.
+def oracle_mul(x, y):
+    return Monomial(x.ipow + y.ipow, x.exps + y.exps)
+
+
+def oracle_neg(x):
+    return Monomial(x.ipow + 2, x.exps)
+
+
+def oracle_reciprocal(x):
+    return Monomial(-x.ipow, tuple((s, -e) for s, e in x.exps))
+
+
+def oracle_pow(x, n):
+    return Monomial(x.ipow * n, tuple((s, e * n) for s, e in x.exps))
+
+
+def oracle_substitute(x, mapping):
+    out = Monomial(x.ipow)
+    for sym, e in x.exps:
+        val = mapping.get(sym)
+        out = oracle_mul(out, Monomial.symbol(sym, e) if val is None else oracle_pow(val, e))
+    return out
+
+
+def seeded_monomial(rng, symbols=SYMS):
+    """0-4 factors with exponents -3..3; repeats and zeros merge away."""
+    factors = [(rng.choice(symbols), rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
+    return Monomial(rng.randrange(4), factors)
+
+
+def seeded_mapping(rng, x):
+    """Images for some of x's symbols: a pure i-power, a monomial over other
+    symbols, or one that cancels another of x's symbols; the rest unmapped."""
+    mapping = {}
+    for sym, e in x.exps:
+        kind = rng.randrange(4)
+        if kind == 0:
+            mapping[sym] = Monomial(rng.randrange(4))
+        elif kind == 1:
+            mapping[sym] = seeded_monomial(rng)
+        elif kind == 2:
+            others = [(s, k) for s, k in x.exps if s != sym]
+            if others:  # sym^e * s^k with sym -> s^(-k/e) when e divides k
+                s, k = rng.choice(others)
+                mapping[sym] = Monomial(rng.randrange(4), [(s, -k // e)] if k % e == 0 else [(s, -k)])
+    return mapping
+
+
+def assert_same(got, want):
+    assert type(got) is Monomial
+    assert (got.ipow, got.exps) == (want.ipow, want.exps)
+    assert hash(got) == hash(want)
+    assert got == parse_entry(str(got))
+
+
+def test_fast_arithmetic_matches_the_validating_oracle():
+    rng = random.Random(2029)
+    seen = {"cancel": 0, "unit": 0, "unmapped": 0, "pow0": 0}
+    for _ in range(3000):
+        x, y = seeded_monomial(rng), seeded_monomial(rng)
+        assert_same(x * y, oracle_mul(x, y))
+        assert_same(x * x.reciprocal(), ONE)
+        assert_same(-x, oracle_neg(x))
+        assert_same(x.reciprocal(), oracle_reciprocal(x))
+        n = rng.randint(-3, 3)
+        assert_same(x**n, oracle_pow(x, n))
+        seen["pow0"] += n == 0
+        mapping = seeded_mapping(rng, x)
+        got = x.substitute(mapping)
+        assert_same(got, oracle_substitute(x, mapping))
+        seen["unmapped"] += any(s not in mapping for s, _ in x.exps)
+        seen["unit"] += any(not v.exps for v in mapping.values())
+        seen["cancel"] += len(got.exps) < len({s for s, _ in x.exps if s not in mapping})
+    assert min(seen.values()) > 50, seen
+
+
+def test_fast_arithmetic_cancels_to_canonical_units():
+    a, b = mono("a*b^-1"), mono("-i*b*a^-1")
+    assert_same(a * b, Monomial(3))
+    assert_same(mono("b") * mono("a^2"), mono("a^2*b"))  # merged in symbol order
+    assert_same(mono("i*a") ** 0, ONE)
+    assert_same(mono("-i*a^2*c").substitute({"a": mono("c^-1"), "c": mono("i*c^2")}), ONE)
