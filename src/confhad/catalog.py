@@ -11,6 +11,7 @@ Nothing is corrected silently: every override shows up in the report.
 
 from __future__ import annotations
 
+import ast
 import random
 import re
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from .matrices import (
     to_butson,
     transpose,
 )
-from .symbolic import Monomial, entry_str, parse_entry
+from .symbolic import Entry, Monomial, entry_str, parse_entry
 from .verify import (
     VerificationResult,
     check_conference,
@@ -166,8 +167,7 @@ def _apply_repairs(grid, fixes: Sequence[CellRepair], parse_cell) -> list[list]:
 @lru_cache(maxsize=None)
 def build_verified(name: str) -> Union[SymbolicMatrix, ExponentMatrix]:
     """Printed transcription with the certified overrides applied."""
-    k = kind(name)
-    if k == "family":
+    if kind(name) == "family":
         raise ValueError(f"{name} is a continuous family; use family_matrix()")
     printed = build(name)
     fixes = repairs(name)
@@ -196,54 +196,40 @@ def recipe_text(name: str) -> Optional[str]:
     return _recipes().get(name)
 
 
-def _split_args(text: str) -> list[str]:
-    args, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            args.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        args.append(tail)
-    return args
-
-
 def _eval_recipe(expr: str) -> SymbolicMatrix:
-    expr = expr.strip()
-    if "(" not in expr:
-        if expr in names():
-            matrix = build_verified(expr)
-            if not isinstance(matrix, SymbolicMatrix):
-                raise ValueError(f"{expr} is not a symbolic matrix")
-            return matrix
-        raise ValueError(f"unknown recipe reference {expr!r}")
-    op, _, rest = expr.partition("(")
-    if not rest.endswith(")"):
-        raise ValueError(f"unbalanced recipe expression {expr!r}")
-    args = _split_args(rest[:-1])
-    op = op.strip()
+    """A recipe read by Python's parser: a name is a catalog entry in its
+    verified form, a call is an op whose first argument is a matrix (a cell
+    for ``bordered_circulant``), and every other argument is a cell."""
 
-    if op in ("subst", "rename"):  # rename(M, q=g) substitutes the symbol g
-        pairs = [kv.partition("=") for kv in args[1:]]
-        return substitute(_eval_recipe(args[0]), {sym.strip(): val.strip() for sym, _, val in pairs})
-    if op == "transpose":
-        return transpose(_eval_recipe(args[0]))
-    if op == "dephase":
-        return dephase(_eval_recipe(args[0]))
-    if op == "double_orthogonal":
-        return double_orthogonal(_eval_recipe(args[0]))
-    if op == "bordered_circulant":
-        return bordered_circulant([parse_entry(a) for a in args])
-    if op == "scale_columns":
-        base = _eval_recipe(args[0])
-        return scale_columns(base, [parse_entry(a) for a in args[1:]])
-    raise ValueError(f"unknown recipe op {op!r}")
+    def cell(node: ast.expr) -> Entry:
+        return parse_entry(ast.get_source_segment(expr, node))
+
+    def matrix(node: ast.expr) -> SymbolicMatrix:
+        if isinstance(node, ast.Name):
+            out = build_verified(node.id) if node.id in _ENTRIES else None
+            if not isinstance(out, SymbolicMatrix):
+                raise ValueError(f"{node.id!r} is not a symbolic catalog entry")
+            return out
+        call = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.args
+        if not call or any(k.arg is None for k in node.keywords):
+            raise ValueError("expected a catalog name, or an op call without ** arguments")
+        op, first, rest = node.func.id, node.args[0], [cell(a) for a in node.args[1:]]
+        mapping = {k.arg: cell(k.value) for k in node.keywords}
+        unary = {"transpose": transpose, "dephase": dephase, "double_orthogonal": double_orthogonal}
+        if op in ("subst", "rename") and not rest:  # rename(M, q=g) substitutes the symbol g
+            return substitute(matrix(first), mapping)
+        if op == "bordered_circulant" and not mapping:
+            return bordered_circulant([cell(first), *rest])
+        if op == "scale_columns" and not mapping:
+            return scale_columns(matrix(first), rest)
+        if op in unary and not (rest or mapping):
+            return unary[op](matrix(first))
+        raise ValueError(f"unknown op {op!r} or wrong arguments to it")
+
+    try:
+        return matrix(ast.parse(expr, mode="eval").body)
+    except (SyntaxError, ValueError) as exc:
+        raise ValueError(f"bad recipe {expr!r}: {exc}") from None
 
 
 def family_components(name: str) -> tuple[str, str]:
@@ -260,8 +246,7 @@ def family_components(name: str) -> tuple[str, str]:
 @lru_cache(maxsize=None)
 def derive(name: str) -> SymbolicMatrix:
     """Execute the entry's construction recipe."""
-    k = kind(name)
-    if k == "family":
+    if kind(name) == "family":
         raise ValueError(f"{name} is a continuous family; use family_matrix()")
     expr = _recipes().get(name)
     if expr is None:

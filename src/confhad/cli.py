@@ -88,6 +88,13 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _catalog_name(name: str) -> str:
+    """name, if it is a catalog entry; a usage error otherwise."""
+    if name not in catalog.names():
+        raise _UsageError(f"unknown catalog name {name!r}")
+    return name
+
+
 def _load_target(target: str, verified: bool) -> AnyMatrix:
     """A catalog name or a path to a matrix file."""
     if target in catalog.names():
@@ -163,7 +170,6 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 def _cmd_list(_args) -> int:
     for name in catalog.names():
-        matrix = None
         k = catalog.kind(name)
         if k == "family":
             h, r = catalog.family_components(name)
@@ -177,9 +183,7 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_build(args) -> int:
-    name = args.name
-    if name not in catalog.names():
-        raise _UsageError(f"unknown catalog name {name!r}")
+    name = _catalog_name(args.name)
     symbols = _family_symbols(name, args.phases)
     if symbols is not None:
         matrix: AnyMatrix = catalog.family_matrix(name, _parse_phases(args.phases, symbols))
@@ -190,9 +194,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    name = args.name
-    if name not in catalog.names():
-        raise _UsageError(f"unknown catalog name {name!r}")
+    name = _catalog_name(args.name)
     if catalog.kind(name) == "family":
         raise _UsageError(f"{name} is a continuous family; use build {name} --phases ...")
     try:
@@ -282,9 +284,7 @@ def _cmd_reconcile(args) -> int:
     else:
         if args.name is None:
             raise _UsageError("give a catalog name or --all")
-        if args.name not in catalog.names():
-            raise _UsageError(f"unknown catalog name {args.name!r}")
-        reports = [catalog.reconcile(args.name, args.seed)]
+        reports = [catalog.reconcile(_catalog_name(args.name), args.seed)]
     flagged = 0
     for report in reports:
         print(report.format())
@@ -296,9 +296,7 @@ def _cmd_reconcile(args) -> int:
 
 
 def _cmd_specialize(args) -> int:
-    name = args.name
-    if name not in catalog.names():
-        raise _UsageError(f"unknown catalog name {name!r}")
+    name = _catalog_name(args.name)
     if catalog.kind(name) == "family":
         raise _UsageError(f"{name} is a continuous family; specialize takes a symbolic entry")
     matrix = catalog.build_verified(name)

@@ -19,7 +19,7 @@ from math import lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .cyclotomic import minimal_root_order
-from .symbolic import Entry, ExpKey, Monomial, ONE, parse_entry
+from .symbolic import Entry, ExpKey, Monomial, ONE, merged, parse_entry
 
 
 def _square(grid: tuple[tuple, ...]) -> int:
@@ -75,12 +75,7 @@ class AffinePhase:
     terms: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
-        merged: dict[str, int] = {}
-        for sym, c in self.terms:
-            merged[sym] = merged.get(sym, 0) + c
-        object.__setattr__(
-            self, "terms", tuple(sorted((s, c) for s, c in merged.items() if c))
-        )
+        object.__setattr__(self, "terms", merged(self.terms))
 
     def __call__(self, phases: Mapping[str, float]) -> float:
         value = float(self.const)
@@ -155,10 +150,6 @@ class ExponentMatrix:
     def symbols(self) -> set[str]:
         return {s for row in self.cells for cell in row if cell is not None for s, _ in cell.terms}
 
-    def phase(self, i: int, j: int, phases: Mapping[str, float]) -> float:
-        cell = self.cells[i][j]
-        return 0.0 if cell is None else cell(phases)
-
     def __repr__(self) -> str:
         return f"<ExponentMatrix {self.n}x{self.n}>"
 
@@ -190,9 +181,6 @@ class ButsonMatrix:
 
     def __hash__(self) -> int:
         return hash((self.m, self.logs))
-
-    def has_zero(self) -> bool:
-        return any(c is None for row in self.logs for c in row)
 
     def lift(self, big: int) -> "ButsonMatrix":
         if big == self.m:
@@ -419,10 +407,10 @@ def eval_exponent_form(
             [
                 0j
                 if cell is None
-                else 1j**cell.ipow * cmath.exp(1j * exponents.phase(i, j, phases))
-                for j, cell in enumerate(row)
+                else 1j**cell.ipow * cmath.exp(1j * (0.0 if phase is None else phase(phases)))
+                for cell, phase in zip(row, phase_row)
             ]
-            for i, row in enumerate(base.rows)
+            for row, phase_row in zip(base.rows, exponents.cells)
         ]
     )
 

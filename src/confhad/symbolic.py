@@ -42,19 +42,27 @@ def parse_float(text: str) -> float:
 ExpKey = tuple[tuple[str, int], ...]
 
 
+def merged(terms: Iterable[tuple[str, int]]) -> ExpKey:
+    """The exponent vector of a product of factors: the exponents of equal
+    symbols summed, zeros dropped, sorted by symbol."""
+    sums: dict[str, int] = {}
+    for sym, e in terms:
+        sums[sym] = sums.get(sym, 0) + e
+    return tuple(sorted((s, e) for s, e in sums.items() if e))
+
+
 class Monomial:
     """i^ipow times a product of parameter powers; never represents zero."""
 
     __slots__ = ("ipow", "exps")
 
     def __init__(self, ipow: int = 0, exps: Iterable[tuple[str, int]] = ()) -> None:
-        merged: dict[str, int] = {}
-        for sym, e in exps:
+        exps = tuple(exps)
+        for sym, _ in exps:
             if not is_symbol(sym):
                 raise ValueError(f"invalid parameter symbol {sym!r}")
-            merged[sym] = merged.get(sym, 0) + e
         self.ipow: int = ipow % 4
-        self.exps: ExpKey = tuple(sorted((s, e) for s, e in merged.items() if e))
+        self.exps: ExpKey = merged(exps)
 
     @classmethod
     def symbol(cls, name: str, exp: int = 1) -> "Monomial":
@@ -65,10 +73,7 @@ class Monomial:
         if not exps:
             exps = other.exps
         elif other.exps:
-            merged = dict(exps)
-            for sym, e in other.exps:
-                merged[sym] = merged.get(sym, 0) + e
-            exps = tuple(sorted((s, e) for s, e in merged.items() if e))
+            exps = merged(exps + other.exps)
         return _canonical((self.ipow + other.ipow) % 4, exps)
 
     def __neg__(self) -> "Monomial":
@@ -78,24 +83,18 @@ class Monomial:
         """The monomial r with self * r == 1."""
         return _canonical(-self.ipow % 4, tuple((s, -e) for s, e in self.exps))
 
-    def __pow__(self, n: int) -> "Monomial":
-        if n == 0:
-            return ONE
-        return _canonical(self.ipow * n % 4, tuple((s, e * n) for s, e in self.exps))
-
     def substitute(self, mapping: Mapping[str, "Monomial"]) -> "Monomial":
         """Replace symbols by unit monomials; unmapped symbols stay formal."""
         ipow = self.ipow
-        merged: dict[str, int] = {}
+        terms: list[tuple[str, int]] = []
         for sym, e in self.exps:
             val = mapping.get(sym)
             if val is None:
-                merged[sym] = merged.get(sym, 0) + e
+                terms.append((sym, e))
                 continue
             ipow += val.ipow * e
-            for s, k in val.exps:
-                merged[s] = merged.get(s, 0) + k * e
-        return _canonical(ipow % 4, tuple(sorted((s, e) for s, e in merged.items() if e)))
+            terms += [(s, k * e) for s, k in val.exps]
+        return _canonical(ipow % 4, merged(terms))
 
     def eval_complex(self, assignment: Mapping[str, complex]) -> complex:
         value = 1j**self.ipow

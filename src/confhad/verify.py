@@ -56,8 +56,7 @@ class VerificationResult:
         return f"{text} [{self.message}]" if self.message else text
 
 
-def _ok() -> VerificationResult:
-    return VerificationResult(True)
+_PASS = VerificationResult(True)
 
 
 def _fail(i: int, j: int, detail: object, message: str = "") -> VerificationResult:
@@ -134,7 +133,7 @@ def _gram_symbolic(rows) -> VerificationResult:
         for (i, j), c in zip(pairs, _pair_hists(codes, 4)):
             if c[0] != c[2] or c[1] != c[3]:
                 return _fail(i, j, _laurent_str(rows[i], rows[j]), "off-diagonal sum != 0")
-        return _ok()
+        return _PASS
     for i in range(n):
         row_i = [None if a is None else a + 4 for a in codes[i]]
         for j in range(i + 1, n):
@@ -143,7 +142,7 @@ def _gram_symbolic(rows) -> VerificationResult:
             )
             if q != sorted([d ^ 2 for d in q]):
                 return _fail(i, j, _laurent_str(rows[i], rows[j]), "off-diagonal sum != 0")
-    return _ok()
+    return _PASS
 
 
 def _vanishes(counts: tuple[int, ...], m: int, verdicts: dict[tuple[int, ...], bool]) -> bool:
@@ -202,7 +201,7 @@ def _gram_butson(logs, m: int) -> VerificationResult:
             counts = list(hist)
             detail = counts if m <= 16 else f"{counts[:16]} (+{m - 16} more)"
             return _fail(i, j, detail, "off-diagonal root sum != 0")
-    return _ok()
+    return _PASS
 
 
 def _nonzero(rows) -> VerificationResult:
@@ -211,7 +210,7 @@ def _nonzero(rows) -> VerificationResult:
         for j, cell in enumerate(row):
             if cell is None:
                 return _fail(i, j, "zero cell", "not unimodular")
-    return _ok()
+    return _PASS
 
 
 def check_inverse_orthogonal(matrix: SymbolicMatrix) -> VerificationResult:
@@ -260,7 +259,7 @@ def _check_hadamard_complex(matrix: ComplexMatrix, tol: float) -> VerificationRe
     worst = np.unravel_index(int(np.argmax(resid)), resid.shape)
     if resid[worst] > tol:
         return _fail(int(worst[0]), int(worst[1]), float(resid[worst]), "gram residual")
-    return _ok()
+    return _PASS
 
 
 def check_hadamard(

@@ -1,12 +1,11 @@
-import cmath
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from confhad import catalog
 from confhad.matrices import (
-    ComplexMatrix,
     double_orthogonal,
     eval_exponent_form,
     substitute,
@@ -14,17 +13,10 @@ from confhad.matrices import (
     transpose,
 )
 from confhad.equivalence import are_equivalent
-from confhad.symbolic import parse_entry
 from confhad.verify import check_conference, check_hadamard, check_inverse_orthogonal
 
-E = parse_entry
+from helpers import E, data_text, to_complex
 ONES = {s: "1" for s in "abcdef"}
-
-
-def to_complex(B):
-    """A Butson matrix's cells as floats: zeta_m^c is exp(2 pi i/m)^c."""
-    z = cmath.exp(2j * cmath.pi / B.m)
-    return ComplexMatrix([[0j if c is None else z**c for c in row] for row in B.logs])
 
 
 class TestBuild:
@@ -115,6 +107,39 @@ class TestDerive:
                 catalog.derive(name)
         with pytest.raises(ValueError, match="family"):
             catalog.derive("D12a")
+
+
+# text outside the recipe grammar -> the detail after "bad recipe '<text>': "
+BAD_RECIPES = {
+    "frobnicate(C6pq)": "unknown op 'frobnicate' or wrong arguments to it",
+    "dephase(C7z)": "'C7z' is not a symbolic catalog entry",
+    "dephase(double_orthogonal(C6a)": "",  # Python's SyntaxError text varies by version
+    "scale_columns(C6a, *cells)": "empty factor in '*cells'",
+    "subst(C6pq, p=1, **q)": "expected a catalog name, or an op call without ** arguments",
+}
+
+
+class TestDataErrors:
+    @pytest.mark.parametrize("expr", BAD_RECIPES)
+    def test_recipe_outside_the_grammar(self, expr):
+        with pytest.raises(ValueError, match=re.escape(f"bad recipe {expr!r}: {BAD_RECIPES[expr]}")):
+            catalog._eval_recipe(expr)
+
+    def test_bad_recipe_in_the_data_file(self, monkeypatch):
+        with data_text(monkeypatch, "recipes.txt", "C6a := frobnicate(C6pq)\n"):
+            with pytest.raises(ValueError, match="unknown op 'frobnicate'"):
+                catalog.derive("C6a")
+
+    def test_malformed_repair_line(self, monkeypatch):
+        with data_text(monkeypatch, "repairs.txt", "C6a (0,1) 1 ->\n"):
+            with pytest.raises(ValueError, match=re.escape("malformed repair line: 'C6a (0,1) 1 ->'")):
+                catalog.repairs("C6a")
+
+    def test_repair_of_a_cell_printed_otherwise(self, monkeypatch):
+        with data_text(monkeypatch, "repairs.txt", "C6a (0,1) -1 -> 1\n"):
+            want = "repair mismatch at (0,1): file has 1, repairs.txt expects -1"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                catalog.build_verified("C6a")
 
 
 class TestFamilies:

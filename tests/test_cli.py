@@ -17,6 +17,8 @@ from confhad.cyclotomic import cyclotomic_polynomial
 from confhad.equivalence import DEFAULT_BUDGET
 from confhad.formats import MAX_BUTSON_ORDER, emit_matrix, parse_butson, parse_matrix, parse_numeric
 
+from helpers import clear_catalog_caches, data_text
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -384,6 +386,26 @@ def test_numeric_options_take_ascii_digits_only(capsys):
             assert (code, out) == (64, "") and "phase" in err
 
 
+def test_phase_count_and_missing_reconcile_target_are_usage_errors(capsys):
+    code, out, err = run(capsys, "build", "D12a", "--phases", "0,0")
+    assert (code, out) == (64, "")
+    assert err == "confhad: error: expected 6 phase values for symbols a,b,c,d,e,f, got 2\n"
+    code, out, err = run(capsys, "reconcile")
+    assert (code, out, err) == (64, "", "confhad: error: give a catalog name or --all\n")
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["frobnicate(C6pq)", "dephase(C7z)", "dephase(double_orthogonal(C6a)", "subst(C6pq, p=1, **q)"],
+)
+def test_derive_from_a_bad_recipe_is_a_usage_error(capsys, monkeypatch, expr):
+    # an exception other than ValueError would escape main as a traceback
+    with data_text(monkeypatch, "recipes.txt", f"C6a := {expr}\n"):
+        code, out, err = run(capsys, "derive", "C6a")
+    assert (code, out) == (64, "")
+    assert err.startswith(f"confhad: error: bad recipe {expr!r}: ") and err.count("\n") == 1
+
+
 def test_empty_phase_entries_are_usage_errors(capsys):
     for phases in ("0,,0,0,0,0,0", "0,0,0,0,0,0,"):
         for command in ("build", "verify"):
@@ -589,23 +611,17 @@ def test_stdout_closed_after_the_first_line_exits_74(capsys, buffered):
     assert "Broken pipe" in err
 
 
-def _clear_catalog_caches():
-    cached = (catalog._all_repairs, catalog._recipes, catalog.build, catalog.build_verified, catalog.derive)
-    for function in cached:
-        function.cache_clear()
-
-
 def test_unreadable_data_file_exits_74_and_names_the_file(capsys, monkeypatch):
     def missing(filename):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), f"/pkg/data/{filename}")
 
     monkeypatch.setattr(catalog, "_data_text", missing)
     monkeypatch.setattr(cli, "_drop_stdout", lambda: pytest.fail("stdout was dropped"))
-    _clear_catalog_caches()
+    clear_catalog_caches()
     try:
         code, out, err = run(capsys, "reconcile", "--all")
     finally:
         monkeypatch.undo()
-        _clear_catalog_caches()
+        clear_catalog_caches()
     assert code == cli.OUTPUT_ERROR == 74 and out == ""
     assert err == "confhad: error: cannot read /pkg/data/repairs.txt: No such file or directory\n"

@@ -10,7 +10,9 @@ from confhad.cyclotomic import (
     minimal_root_order,
     root_sum_is_zero,
 )
-from confhad.matrices import ButsonMatrix, ComplexMatrix
+from confhad.matrices import ButsonMatrix
+
+from helpers import to_complex
 
 KNOWN_POLYS = {
     1: (-1, 1),
@@ -20,12 +22,6 @@ KNOWN_POLYS = {
     6: (1, -1, 1),
     12: (1, 0, -1, 0, 1),
 }
-
-
-def to_complex(B):
-    """A Butson matrix's cells as floats: zeta_m^c is exp(2 pi i/m)^c."""
-    z = cmath.exp(2j * cmath.pi / B.m)
-    return ComplexMatrix([[0j if c is None else z**c for c in row] for row in B.logs])
 
 
 @pytest.mark.parametrize("m,coeffs", sorted(KNOWN_POLYS.items()))

@@ -21,6 +21,8 @@ from confhad.matrices import ButsonMatrix, bordered_circulant, double_orthogonal
 from confhad.symbolic import ONE, parse_entry
 from confhad.verify import check_conference, check_hadamard
 
+from helpers import butson
+
 
 def random_transform(n, m, rng):
     rp = list(range(n))
@@ -37,10 +39,6 @@ def random_transform(n, m, rng):
 
 
 H4 = ButsonMatrix(2, [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0]])
-
-
-def butson(name):
-    return to_butson(catalog.build_verified(name))
 
 
 def paley_core(q):

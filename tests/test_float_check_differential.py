@@ -34,7 +34,8 @@ def oracle_eval(base, exponents, phases):
                 arr[i, j] = 0
                 continue
             unit = 1j**cell.ipow
-            arr[i, j] = unit * cmath.exp(1j * exponents.phase(i, j, phases))
+            phase = exponents.cells[i][j]  # a bullet cell has phase 0.0
+            arr[i, j] = unit * cmath.exp(1j * (0.0 if phase is None else phase(phases)))
     return arr
 
 

@@ -1,4 +1,3 @@
-import cmath
 import random
 
 import numpy as np
@@ -19,13 +18,16 @@ from confhad.formats import (
     parse_numeric,
     parse_symbolic,
 )
-from confhad.matrices import ButsonMatrix, ComplexMatrix, to_butson
+from confhad.matrices import (
+    ButsonMatrix,
+    ComplexMatrix,
+    SymbolicMatrix,
+    eval_exponent_form,
+    to_butson,
+)
+from confhad.symbolic import ONE
 
-
-def to_complex(B):
-    """A Butson matrix's cells as floats: zeta_m^c is exp(2 pi i/m)^c."""
-    z = cmath.exp(2j * cmath.pi / B.m)
-    return ComplexMatrix([[0j if c is None else z**c for c in row] for row in B.logs])
+from helpers import to_complex
 
 
 def test_symbolic_tiny():
@@ -144,7 +146,8 @@ def test_exponent_round_trip():
 def test_exponent_bullet_distinct_from_zero():
     R = parse_exponent("EXP 2\n. 0\n0 .")
     assert R.cells[0][0] is None and R.cells[0][1] is not None
-    assert R.phase(0, 0, {}) == R.phase(0, 1, {}) == 0.0
+    ones = SymbolicMatrix([[ONE, ONE], [ONE, ONE]])
+    assert eval_exponent_form(ones, R, {}).rows[0] == (1, 1)  # both phase 0
     assert emit_exponent(R).splitlines()[1].split() == [".", "0"]
 
 

@@ -8,7 +8,6 @@ from confhad import catalog
 from confhad.matrices import (
     AffinePhase,
     ButsonMatrix,
-    ComplexMatrix,
     SymbolicMatrix,
     bordered_circulant,
     circulant,
@@ -24,21 +23,10 @@ from confhad.matrices import (
     to_butson,
     transpose,
 )
-from confhad.symbolic import Monomial, parse_entry
+from confhad.symbolic import Monomial
 from confhad.verify import check_conference, check_inverse_orthogonal, check_hadamard
 
-E = parse_entry
-
-
-def sym(rows):
-    return SymbolicMatrix([[E(c) for c in row] for row in rows])
-
-
-def to_complex(B):
-    """A Butson matrix's cells as floats: zeta_m^c is exp(2 pi i/m)^c."""
-    z = cmath.exp(2j * cmath.pi / B.m)
-    return ComplexMatrix([[0j if c is None else z**c for c in row] for row in B.logs])
-
+from helpers import E, sym, to_complex
 
 PALEY_CORE = [E("0"), E("1"), E("-1"), E("-1"), E("1")]
 SKEW_CORE = [E("0"), E("1"), E("i"), E("-i"), E("-1")]

@@ -19,11 +19,12 @@ from collections import Counter
 from itertools import permutations, product
 from math import lcm
 
-from confhad import catalog
 from confhad.equivalence import MonomialTransform, _pair_counts, _search_verdict
 from confhad.matrices import ButsonMatrix, bordered_circulant, double_orthogonal, to_butson
 from confhad.symbolic import Monomial
 from confhad.verify import _pair_hists
+
+from helpers import butson
 
 
 def oracle_row_keys(M):
@@ -46,10 +47,6 @@ def assert_keys_agree(M):
     streamed = Counter(_pair_hists(M.logs, M.m))
     assert pairs == streamed and list(pairs) == list(streamed)
     return keys
-
-
-def butson(name):
-    return to_butson(catalog.build_verified(name))
 
 
 def paley_core(q, double=False):

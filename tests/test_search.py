@@ -1,4 +1,3 @@
-import cmath
 import random
 import time
 import tracemalloc
@@ -6,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from confhad.matrices import ComplexMatrix, to_butson
+from confhad.matrices import to_butson
 from confhad import catalog
 from confhad.search import (
     SearchBudgetExhausted,
@@ -19,15 +18,11 @@ from confhad.search import (
 from confhad.equivalence import DEFAULT_BUDGET
 from confhad.verify import check_conference
 
+from helpers import to_complex
+
 PALEY = (None, 0, 1, 1, 0)  # (0, 1, -1, -1, 1) in log form, m = 2
 SKEW_F = (None, 0, 1, 3, 2)  # (0, 1, i, -i, -1), m = 4
 SKEW_G = (None, 0, 3, 1, 2)  # (0, 1, -i, i, -1), m = 4
-
-
-def to_complex(B):
-    """A Butson matrix's cells as floats: zeta_m^c is exp(2 pi i/m)^c."""
-    z = cmath.exp(2j * cmath.pi / B.m)
-    return ComplexMatrix([[0j if c is None else z**c for c in row] for row in B.logs])
 
 
 def test_bordered_6_2_contains_paley():

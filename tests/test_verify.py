@@ -1,4 +1,3 @@
-import cmath
 import random
 
 import numpy as np
@@ -8,7 +7,6 @@ from confhad import catalog
 from confhad.matrices import (
     ButsonMatrix,
     ComplexMatrix,
-    SymbolicMatrix,
     bordered_circulant,
     double_orthogonal,
     eval_complex,
@@ -16,7 +14,7 @@ from confhad.matrices import (
     to_butson,
     transpose,
 )
-from confhad.symbolic import Monomial, parse_entry
+from confhad.symbolic import Monomial
 from confhad.verify import (
     VerificationResult,
     check_conference,
@@ -24,17 +22,7 @@ from confhad.verify import (
     check_inverse_orthogonal,
 )
 
-E = parse_entry
-
-
-def sym(rows):
-    return SymbolicMatrix([[E(c) for c in row] for row in rows])
-
-
-def to_complex(B):
-    """A Butson matrix's cells as floats: zeta_m^c is exp(2 pi i/m)^c."""
-    z = cmath.exp(2j * cmath.pi / B.m)
-    return ComplexMatrix([[0j if c is None else z**c for c in row] for row in B.logs])
+from helpers import E, sym, to_complex
 
 
 class TestInverseOrthogonal:
