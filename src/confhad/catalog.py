@@ -127,6 +127,8 @@ def _all_repairs() -> dict[str, tuple[CellRepair, ...]]:
         m = _REPAIR_RE.match(line)
         if not m:
             raise ValueError(f"malformed repair line: {line!r}")
+        if m["name"] not in _ENTRIES:
+            raise ValueError(f"repairs.txt line names no catalog entry: {line!r}")
         out.setdefault(m["name"], []).append(
             CellRepair(int(m["row"]), int(m["col"]), m["printed"], m["verified"])
         )
@@ -186,8 +188,10 @@ def build_verified(name: str) -> Union[SymbolicMatrix, ExponentMatrix]:
 def _recipes() -> dict[str, str]:
     out = {}
     for line in _data_lines("recipes.txt"):
-        name, _, expr = line.partition(":=")
-        out[name.strip()] = expr.strip()
+        name, sep, expr = (part.strip() for part in line.partition(":="))
+        if not (sep and expr) or name not in _ENTRIES:
+            raise ValueError(f"malformed recipe line: {line!r}")
+        out[name] = expr
     return out
 
 
@@ -295,7 +299,7 @@ class ReconciliationReport:
         """Printed form passed and needed no overrides."""
         return bool(self.printed) and not self.repairs
 
-    def lines(self) -> list[str]:
+    def format(self) -> str:
         out = [f"== {self.name} ({REFS[self.name]}, {self.kind})"]
         if self.printed is not None:
             out.append(f"printed:    {self.printed.describe()}")
@@ -310,10 +314,7 @@ class ReconciliationReport:
             out.append(f"first diff: ({i},{j}) printed {a} vs derived {b}")
         for note in self.notes:
             out.append(f"note:       {note}")
-        return out
-
-    def format(self) -> str:
-        return "\n".join(self.lines())
+        return "\n".join(out)
 
 
 def _first_diff_symbolic(a: SymbolicMatrix, b: SymbolicMatrix):

@@ -10,8 +10,7 @@ makes conference/Hadamard checks exact rather than floating-point.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -46,12 +45,3 @@ def root_sum_is_zero(counts: Sequence[int], m: int) -> bool:
     """Exact test for sum_k counts[k] * zeta_m^k == 0."""
     return not any(_divmod_monic(counts, cyclotomic_polynomial(m))[1])
 
-
-def minimal_root_order(logs: Iterable[int], m: int) -> int:
-    """Smallest m' | m with every zeta_m^k, k in logs, a power of zeta_m'."""
-    g = m
-    for k in logs:
-        g = gcd(g, k % m)
-        if g == 1:
-            return m
-    return m // g

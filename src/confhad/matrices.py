@@ -15,10 +15,9 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .cyclotomic import minimal_root_order
 from .symbolic import Entry, ExpKey, Monomial, ONE, merged, parse_entry
 
 
@@ -49,9 +48,6 @@ class SymbolicMatrix:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SymbolicMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def symbols(self) -> set[str]:
         return {s for row in self.rows for cell in row if cell is not None for s, _ in cell.exps}
@@ -138,14 +134,8 @@ class ExponentMatrix:
         self.n = _square(grid)
         self.cells = grid
 
-    def __getitem__(self, i: int) -> tuple[PhaseCell, ...]:
-        return self.cells[i]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ExponentMatrix) and self.cells == other.cells
-
-    def __hash__(self) -> int:
-        return hash(self.cells)
 
     def symbols(self) -> set[str]:
         return {s for row in self.cells for cell in row if cell is not None for s, _ in cell.terms}
@@ -169,18 +159,12 @@ class ButsonMatrix:
         self.m = m
         self.logs = grid
 
-    def __getitem__(self, i: int) -> tuple[Optional[int], ...]:
-        return self.logs[i]
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ButsonMatrix)
             and self.m == other.m
             and self.logs == other.logs
         )
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.logs))
 
     def lift(self, big: int) -> "ButsonMatrix":
         if big == self.m:
@@ -194,15 +178,14 @@ class ButsonMatrix:
         )
 
     def reduce_order(self) -> "ButsonMatrix":
-        """Rewrite over the smallest root order containing every cell."""
-        logs = [c for row in self.logs for c in row if c is not None]
-        small = minimal_root_order(logs, self.m)
-        if small == self.m:
+        """Rewrite over the smallest root order, m // g with g the gcd of m and
+        every nonzero cell's log: order 1 if all cells are zero, ``self`` if g == 1."""
+        g = gcd(self.m, *(c for row in self.logs for c in row if c is not None))
+        if g == 1:
             return self
-        step = self.m // small
         return ButsonMatrix(
-            small,
-            [[None if c is None else c // step for c in row] for row in self.logs],
+            self.m // g,
+            [[None if c is None else c // g for c in row] for row in self.logs],
         )
 
     def __repr__(self) -> str:
@@ -219,14 +202,8 @@ class ComplexMatrix:
         self.n = _square(grid)
         self.rows = grid
 
-    def __getitem__(self, i: int) -> tuple[complex, ...]:
-        return self.rows[i]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ComplexMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"<ComplexMatrix {self.n}x{self.n}>"

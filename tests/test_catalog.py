@@ -130,6 +130,28 @@ class TestDataErrors:
             with pytest.raises(ValueError, match="unknown op 'frobnicate'"):
                 catalog.derive("C6a")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "C6a = subst(C6pq, p=1, q=1)",  # no ":="
+            ":= subst(C6pq, p=1, q=1)",
+            "C6a :=",
+            "C6x := bordered_circulant(0, 1, -1, -1, 1)",  # not a catalog entry
+        ],
+    )
+    def test_recipe_line_that_names_nothing(self, monkeypatch, line):
+        text = catalog._data_text("recipes.txt") + line + "\n"
+        with data_text(monkeypatch, "recipes.txt", text):
+            with pytest.raises(ValueError, match=re.escape(f"malformed recipe line: {line!r}")):
+                catalog.recipe_text("C6c")
+
+    def test_repair_of_an_unknown_entry(self, monkeypatch):
+        text = catalog._data_text("repairs.txt").replace("H12b (5,5)", "H12x (5,5)")
+        with data_text(monkeypatch, "repairs.txt", text):
+            want = "repairs.txt line names no catalog entry: 'H12x (5,5) -1 -> 1'"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                catalog.repairs("H12b")
+
     def test_malformed_repair_line(self, monkeypatch):
         with data_text(monkeypatch, "repairs.txt", "C6a (0,1) 1 ->\n"):
             with pytest.raises(ValueError, match=re.escape("malformed repair line: 'C6a (0,1) 1 ->'")):

@@ -1,15 +1,12 @@
 import cmath
 from functools import lru_cache
+from math import gcd
 import random
 import tracemalloc
 
 import pytest
 
-from confhad.cyclotomic import (
-    cyclotomic_polynomial,
-    minimal_root_order,
-    root_sum_is_zero,
-)
+from confhad.cyclotomic import cyclotomic_polynomial, root_sum_is_zero
 from confhad.matrices import ButsonMatrix
 
 from helpers import to_complex
@@ -66,10 +63,40 @@ def test_lift_preserves_value():
 
 
 def test_minimal_root_order():
-    assert minimal_root_order([0, 2], 4) == 2
-    assert minimal_root_order([0, 1], 4) == 4
-    assert minimal_root_order([], 12) == 1
-    assert minimal_root_order([4, 8], 12) == 3
+    assert ButsonMatrix(4, [[0, 2], [2, None]]).reduce_order() == ButsonMatrix(2, [[0, 1], [1, None]])
+    assert ButsonMatrix(4, [[0, 1], [1, None]]).reduce_order().m == 4
+    assert ButsonMatrix(12, [[None]]).reduce_order() == ButsonMatrix(1, [[None]])
+    assert ButsonMatrix(12, [[4, 8], [8, 4]]).reduce_order() == ButsonMatrix(3, [[1, 2], [2, 1]])
+
+
+def _minimal_root_order(logs, m):
+    """The order loop ``reduce_order`` replaced, kept as its oracle."""
+    g = m
+    for k in logs:
+        g = gcd(g, k % m)
+        if g == 1:
+            return m
+    return m // g
+
+
+def test_reduce_order_matches_the_order_loop():
+    rng = random.Random(20240809)
+    for m in range(1, 1025):  # every prime and prime power up to 1024 among them
+        divisors = [d for d in range(1, m + 1) if m % d == 0]
+        # all-zero, all-ones and already minimal, then seeded cells on a divisor's multiples
+        cases = [[[None] * 2] * 2, [[0] * 3] * 3, [[1, None], [0, m - 1]]]
+        for _ in range(3):
+            d, n = rng.choice(divisors), rng.randint(1, 4)
+            cells = [None if rng.random() < 0.2 else d * rng.randrange(m // d) for _ in range(n * n)]
+            cases.append([cells[i : i + n] for i in range(0, n * n, n)])
+        for logs in cases:
+            M = ButsonMatrix(m, logs)
+            small = _minimal_root_order([c for row in M.logs for c in row if c is not None], m)
+            step = m // small
+            R = M.reduce_order()
+            assert R.m == small, (m, logs)
+            assert R.logs == tuple(tuple(None if c is None else c // step for c in row) for row in M.logs)
+            assert (R is M) == (small == m)
 
 
 def test_equality_agrees_with_floats():
